@@ -27,19 +27,15 @@ def grid_kwargs() -> dict:
 
     ``REPRO_BENCH_WORKERS`` sets the process-pool size (default 1, i.e. the
     sequential in-process path, so timings stay comparable by default) and
-    ``REPRO_BENCH_CACHE`` points at an on-disk cell-cache directory (unset =
-    no caching, every benchmark run recomputes its cells).
+    ``REPRO_BENCH_CACHE`` points at a cell-store directory (unset = no
+    caching, every benchmark run recomputes its cells).
 
     ``REPRO_BENCH_SHARDS`` (> 1) routes each figure through the sharded
     executor instead — one subprocess shard worker per shard, each running
-    ``REPRO_BENCH_WORKERS`` pool workers — with partial artifacts under
+    ``REPRO_BENCH_WORKERS`` pool workers — with the shard journal under
     ``REPRO_BENCH_SHARD_DIR`` (a persistent directory makes interrupted
     benchmark sweeps resumable; unset uses a temporary directory).  Rows are
     byte-identical to the in-process paths.
-
-    ``REPRO_BENCH_CACHE_BACKEND`` (``json``, the default, or ``sqlite``)
-    selects the cell-store layout for both the cache and the shard
-    journal/artifact layer.
 
     ``REPRO_BENCH_REMOTE_WORKERS`` (> 0) routes each figure through the
     lease-based remote executor instead — a local HTTP coordinator plus
@@ -63,11 +59,10 @@ def grid_kwargs() -> dict:
     if workers > 1:
         kwargs["workers"] = workers
     cache_dir = os.environ.get("REPRO_BENCH_CACHE")
-    backend = os.environ.get("REPRO_BENCH_CACHE_BACKEND", "json")
     if cache_dir:
         from repro.experiments.grid import CellStore
 
-        kwargs["cache"] = CellStore.from_options(cache_dir, cache_backend=backend)
+        kwargs["cache"] = CellStore.from_options(cache_dir)
     shards = int(os.environ.get("REPRO_BENCH_SHARDS", "0"))
     remote_workers = int(os.environ.get("REPRO_BENCH_REMOTE_WORKERS", "0"))
     if shards > 1:
@@ -78,7 +73,6 @@ def grid_kwargs() -> dict:
             workers=max(workers, 1),
             directory=os.environ.get("REPRO_BENCH_SHARD_DIR"),
             cache_dir=cache_dir or None,
-            cache_backend=backend,
         )
     elif remote_workers > 0:
         from repro.experiments.remote import RemoteExecutor

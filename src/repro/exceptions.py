@@ -57,7 +57,7 @@ class GridExecutionError(ReproError, RuntimeError):
 
 
 class ShardMergeError(ReproError, RuntimeError):
-    """Per-shard partial artifacts cannot be merged into a figure artifact.
+    """Per-shard artifacts cannot be merged into a figure artifact.
 
     Carries structured detail so callers can report precisely *which* cells
     are affected instead of truncating silently:
@@ -66,9 +66,9 @@ class ShardMergeError(ReproError, RuntimeError):
     ----------
     missing:
         Cell descriptors (``runner`` plus canonical parameter JSON) of the
-        planned cells absent from every supplied partial artifact.
+        planned cells absent from every supplied shard artifact.
     conflicting:
-        Descriptors of cells that appear in several partial artifacts with
+        Descriptors of cells that appear in several shard artifacts with
         differing rows.
     """
 

@@ -2,7 +2,7 @@
 
 Every figure is expressed as a grid of independent cells and executed by the
 :mod:`repro.experiments.grid` engine (parallel workers, deterministic
-per-cell seeding, on-disk result cache).  Importing this package registers
+per-cell seeding, SQLite cell store).  Importing this package registers
 the cell runners of all seven experiment modules.
 """
 
@@ -34,12 +34,10 @@ from .attribute_inference_rsrfd import (
 from .cellstore import CELLSTORE_SCHEMA_VERSION, SQLiteCellStore
 from .config import FULL, PAPER_EPSILONS, PIE_BETAS, QUICK, SMOKE, UTILITY_EPSILONS, ExperimentConfig
 from .grid import (
-    CACHE_BACKENDS,
     GRID_SCHEMA_VERSION,
     CellOutcome,
     CellStore,
     Executor,
-    GridCache,
     GridCell,
     GridResult,
     ProcessPoolExecutor,
@@ -51,7 +49,6 @@ from .grid import (
     registered_cell_runners,
     resolve_executor,
     run_grid,
-    validate_cache_backend,
 )
 from .remote import (
     CHAOS_ENV,
@@ -81,14 +78,11 @@ from .sharding import (
     MergedShards,
     ShardedExecutor,
     ShardRunResult,
-    find_shard_artifacts,
     journal_artifacts,
     load_plan,
-    load_shard_artifact,
     merge_artifacts,
     plan_fingerprint,
     run_shard,
-    shard_artifact_path,
     shard_positions,
     workspace_store,
     write_plan,
@@ -111,11 +105,8 @@ __all__ = [
     # grid engine and cell stores
     "GRID_SCHEMA_VERSION",
     "CELLSTORE_SCHEMA_VERSION",
-    "CACHE_BACKENDS",
-    "validate_cache_backend",
     "GridCell",
     "CellStore",
-    "GridCache",
     "SQLiteCellStore",
     "GridResult",
     "CellOutcome",
@@ -143,11 +134,8 @@ __all__ = [
     "ShardRunResult",
     "plan_fingerprint",
     "shard_positions",
-    "shard_artifact_path",
-    "find_shard_artifacts",
     "write_plan",
     "load_plan",
-    "load_shard_artifact",
     "run_shard",
     "merge_artifacts",
     "journal_artifacts",

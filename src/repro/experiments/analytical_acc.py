@@ -18,7 +18,7 @@ import numpy as np
 from ..attacks.plausible_deniability import expected_profiling_accuracy
 from ..metrics.accuracy import as_percentage
 from .config import PAPER_EPSILONS
-from .grid import Executor, GridCache, GridCell, cell_runner, execute_plan
+from .grid import CellStore, Executor, GridCell, cell_runner, execute_plan
 
 #: Domain sizes used by Fig. 1 (first three Adult attributes).
 FIG1_SIZES: tuple[int, ...] = (74, 7, 16)
@@ -85,7 +85,7 @@ def run_analytical_acc(
     seed: int = 42,
     figure: str = "fig1",
     workers: int = 1,
-    cache: "GridCache | str | None" = None,
+    cache: "CellStore | str | None" = None,
     executor: "Executor | None" = None,
     grid_info: dict | None = None,
 ) -> list[dict]:

@@ -1,19 +1,15 @@
 """WAL-mode SQLite cell store: cache entries, shard journals, run ledger.
 
-The JSON :class:`~repro.experiments.grid.GridCache` keeps one file per
-cached cell and the sharded engine keeps one append-only JSONL journal per
-shard — at production grid sizes (1e5+ cells) directory scans, per-file
-eviction and journal replay dominate wall-clock.  This module moves all
-three kinds of state into **one SQLite database** per store:
+Every kind of persistent grid state lives in **one SQLite database** per
+store:
 
 * ``cells`` — the completed-cell memo (``config_hash`` primary key, rows as
   canonical JSON, ``last_used_at`` refreshed on every hit so eviction is a
   single indexed least-recently-used delete);
 * ``shard_journal`` — per-plan completion journals: concurrent shard
   invocations append to the same database (WAL + ``busy_timeout`` make the
-  tiny per-cell transactions safe) and resume state becomes a query,
-  ``SELECT ... FROM shard_journal WHERE fingerprint = ?``, instead of a
-  line-by-line JSONL replay;
+  tiny per-cell transactions safe) and resume state is the query
+  ``SELECT ... FROM shard_journal WHERE fingerprint = ?``;
 * ``runs`` — a ledger of every ``run_grid`` / ``run_shard`` invocation with
   its JSON execution summary, so a long sweep's history is queryable.
 
@@ -22,17 +18,19 @@ writer), ``synchronous=NORMAL`` and a short per-attempt ``busy_timeout``;
 write transactions that still find the database locked are retried on the
 bounded, deterministically jittered backoff schedule of
 :mod:`repro.core.retry` before degrading to the store's usual warned miss —
-a wedged co-writer costs a few seconds, never a 30 s stall.  The schema is
-created and upgraded through the ordered migration scripts in
-:data:`_MIGRATIONS`, tracked by SQLite's ``user_version`` pragma — opening
-an old database applies only the missing migrations, and a database written
-by a *newer* library version is refused instead of corrupted.
+a wedged co-writer costs a few seconds, never a 30 s stall.  WAL needs
+shared memory between its readers and writers, so every process using one
+database must run on the same host (https://www.sqlite.org/wal.html); it
+does not work over a network filesystem.  The schema is created and
+upgraded through the ordered migration scripts in :data:`_MIGRATIONS`,
+tracked by SQLite's ``user_version`` pragma — opening an old database
+applies only the missing migrations, and a database written by a *newer*
+library version is refused instead of corrupted.
 
-:class:`SQLiteCellStore` implements the same
-:class:`~repro.experiments.grid.CellStore` seam as ``GridCache`` (the JSON
-layout stays as the parity baseline, selected by ``--cache-backend json``),
-including the degrade-to-a-warned-miss contract: no storage failure may
-abort a grid run that can still compute its cells.
+:class:`SQLiteCellStore` implements the
+:class:`~repro.experiments.grid.CellStore` seam, including the
+degrade-to-a-warned-miss contract: no storage failure may abort a grid run
+that can still compute its cells.
 """
 
 from __future__ import annotations
@@ -51,8 +49,12 @@ from .grid import GRID_SCHEMA_VERSION, CellStore, GridCell, _jsonable
 T = TypeVar("T")
 
 #: Database file name used when a store is built from a cache *directory*
-#: (``--cache-dir X --cache-backend sqlite`` → ``X/cells.sqlite``).
+#: (``--cache-dir X`` → ``X/cells.sqlite``).
 DEFAULT_DB_NAME = "cells.sqlite"
+
+#: Config hashes per ``SELECT ... IN (...)`` of :meth:`SQLiteCellStore.lookup`;
+#: below 999, the bound-parameter limit of SQLite builds before 3.32.
+LOOKUP_CHUNK = 500
 
 #: How long one write *attempt* waits on a locked database.  Deliberately
 #: short: contention is handled by the bounded, jittered retry schedule of
@@ -155,10 +157,10 @@ class SQLiteCellStore(CellStore):
         convention of ``<cache-dir>/cells.sqlite``.
     max_entries, max_bytes:
         Optional bounds on the ``cells`` table (count / cumulative stored
-        row-payload bytes).  Eviction is least-recently-used: :meth:`get`
-        refreshes ``last_used_at`` on every hit and :meth:`put` deletes the
-        stalest entries (never the one just written) with one indexed
-        query — no directory scan.
+        row-payload bytes).  Eviction is least-recently-used:
+        :meth:`lookup` refreshes ``last_used_at`` on every hit and
+        :meth:`put` deletes the stalest entries (never the one just
+        written) with one indexed query.
     busy_timeout_ms:
         ``PRAGMA busy_timeout`` — how long one write *attempt* waits on a
         lock before the bounded retry schedule takes over.
@@ -170,13 +172,10 @@ class SQLiteCellStore(CellStore):
         database never abort each other.
 
     Error contract: construction fails fast with
-    :class:`~repro.exceptions.InvalidParameterError` on an unusable path —
-    exactly like ``GridCache`` with an unusable directory — while every
-    later storage failure degrades to a once-warned miss/no-op so a grid
-    run keeps computing.
+    :class:`~repro.exceptions.InvalidParameterError` on an unusable path,
+    while every later storage failure degrades to a once-warned miss/no-op
+    so a grid run keeps computing.
     """
-
-    backend = "sqlite"
 
     def __init__(
         self,
@@ -311,40 +310,54 @@ class SQLiteCellStore(CellStore):
     # ------------------------------------------------------------------ #
     # the cells table (the CellStore seam)
     # ------------------------------------------------------------------ #
-    def get(self, cell: GridCell) -> "list[dict[str, Any]] | None":
-        """Cached rows of ``cell``, or ``None`` on a miss.
+    def lookup(self, cells: Sequence[GridCell]) -> "list[list[dict[str, Any]] | None]":
+        """Cached rows of each of ``cells`` in order (``None`` on a miss).
 
-        A hit refreshes the entry's ``last_used_at`` (best-effort), so a
-        bounded store evicts stale entries before hot ones.
+        One ``SELECT ... IN`` per :data:`LOOKUP_CHUNK` distinct config
+        hashes, then one transaction refreshing ``last_used_at`` of every
+        hit (best-effort), so a bounded store evicts stale entries before
+        hot ones.  An entry whose stored key or master seed differs from
+        the cell's (a hash collision or a hand-edited row), or whose rows
+        do not decode, is a miss; a failing database makes every cell a
+        miss, with one warning.
         """
+        hashes = [cell.config_hash for cell in cells]
+        by_hash = dict(zip(hashes, cells))
+        distinct = list(by_hash)
         try:
-            row = self._conn.execute(
-                "SELECT key, master_seed, rows FROM cells WHERE config_hash = ?",
-                (cell.config_hash,),
-            ).fetchone()
+            found: list[sqlite3.Row] = []
+            for start in range(0, len(distinct), LOOKUP_CHUNK):
+                chunk = distinct[start : start + LOOKUP_CHUNK]
+                found += self._conn.execute(
+                    "SELECT config_hash, key, master_seed, rows FROM cells "
+                    f"WHERE config_hash IN ({','.join('?' * len(chunk))})",
+                    chunk,
+                ).fetchall()
         except sqlite3.Error as exc:
             self._warn_io("read", exc)
-            return None
-        if row is None:
-            return None
-        # same tamper/collision guard as the JSON cache
-        if row["key"] != cell.key or int(row["master_seed"]) != int(cell.master_seed):
-            return None
-        try:
-            rows = json.loads(row["rows"])
-        except (json.JSONDecodeError, TypeError):
-            return None
-        if not isinstance(rows, list):
-            return None
-        try:
-            with self._conn:
-                self._conn.execute(
-                    "UPDATE cells SET last_used_at = ? WHERE config_hash = ?",
-                    (time.time(), cell.config_hash),
-                )
-        except sqlite3.Error:
-            pass  # the LRU refresh is best-effort, like the JSON mtime touch
-        return rows
+            return [None] * len(cells)
+        hits: dict[str, list[dict[str, Any]]] = {}
+        for row in found:
+            cell = by_hash[row["config_hash"]]
+            if row["key"] != cell.key or int(row["master_seed"]) != int(cell.master_seed):
+                continue
+            try:
+                rows = json.loads(row["rows"])
+            except (json.JSONDecodeError, TypeError):
+                continue
+            if isinstance(rows, list):
+                hits[row["config_hash"]] = rows
+        if hits:
+            now = time.time()
+            try:
+                with self._conn:
+                    self._conn.executemany(
+                        "UPDATE cells SET last_used_at = ? WHERE config_hash = ?",
+                        [(now, config_hash) for config_hash in hits],
+                    )
+            except sqlite3.Error:
+                pass  # the LRU refresh is best-effort
+        return [hits.get(config_hash) for config_hash in hashes]
 
     def put(
         self, cell: GridCell, rows: Sequence[Mapping[str, Any]], elapsed: float
@@ -451,7 +464,6 @@ class SQLiteCellStore(CellStore):
             self._warn_io("stats", exc)
             entries = total = journal = runs = version = 0
         return {
-            "backend": self.backend,
             "directory": str(self.directory),
             "path": str(self.path),
             "entries": int(entries),
@@ -517,9 +529,8 @@ class SQLiteCellStore(CellStore):
     def journal_records(self, fingerprint: str) -> Iterator[tuple[int, dict[str, Any]]]:
         """``(shard_index, entry)`` of every journaled cell of a plan.
 
-        Undecodable entries are skipped (mirroring the JSONL journal's
-        torn-line tolerance); storage failures degrade to an empty iteration
-        with the usual warning.
+        Undecodable entries are skipped; storage failures degrade to an
+        empty iteration with the usual warning.
         """
         try:
             rows = self._conn.execute(
@@ -539,11 +550,7 @@ class SQLiteCellStore(CellStore):
                 yield int(row["shard_index"]), entry
 
     def journal_entries(self, fingerprint: str) -> dict[str, dict[str, Any]]:
-        """Resume state of a plan: ``{config_hash: entry}`` for every shard.
-
-        This is the query that replaces the JSONL journal replay — one
-        indexed lookup instead of re-parsing a line per completed cell.
-        """
+        """Resume state of a plan: ``{config_hash: entry}`` for every shard."""
         return {
             str(entry["config_hash"]): entry
             for _, entry in self.journal_records(fingerprint)
@@ -652,81 +659,3 @@ class SQLiteCellStore(CellStore):
                 }
             )
         return ledger
-
-    # ------------------------------------------------------------------ #
-    # migration from a JSON cache directory
-    # ------------------------------------------------------------------ #
-    def import_json_cache(self, directory: str | Path) -> dict[str, Any]:
-        """Import a :class:`GridCache` directory's entries into ``cells``.
-
-        Unreadable/corrupt files, entries of a different grid schema version
-        (their config hashes could never be queried anyway) and hashes
-        already present in the store (the database copy wins — it may be
-        fresher) are skipped, each counted in the returned summary.  File
-        modification times become ``last_used_at``, so the imported entries
-        keep their LRU order.
-        """
-        directory = Path(directory)
-        imported = skipped = present = 0
-        for path in sorted(directory.glob("*.json")):
-            try:
-                stat = path.stat()
-                entry = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                skipped += 1
-                continue
-            if (
-                not isinstance(entry, dict)
-                or entry.get("schema") != GRID_SCHEMA_VERSION
-                or not isinstance(entry.get("rows"), list)
-                or not isinstance(entry.get("key"), str)
-            ):
-                skipped += 1
-                continue
-            payload = _compact_json(entry["rows"])
-
-            def insert(
-                stem: str = path.stem,
-                record: "dict[str, Any]" = entry,
-                blob: str = payload,
-                mtime: float = stat.st_mtime,
-            ) -> sqlite3.Cursor:
-                with self._conn:
-                    return self._conn.execute(
-                        """
-                        INSERT OR IGNORE INTO cells
-                            (config_hash, key, schema, runner, master_seed,
-                             rows, elapsed, size_bytes, created_at, last_used_at)
-                        VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-                        """,
-                        (
-                            stem,
-                            record["key"],
-                            int(record["schema"]),
-                            str(record.get("runner", "")),
-                            int(record.get("master_seed", 0)),
-                            blob,
-                            float(record.get("elapsed", 0.0)),
-                            len(blob.encode("utf-8")),
-                            mtime,
-                            mtime,
-                        ),
-                    )
-
-            try:
-                cursor = self._retry_write("import", insert)
-            except (sqlite3.Error, TypeError, ValueError):
-                skipped += 1
-                continue
-            if cursor.rowcount:
-                imported += 1
-            else:
-                present += 1
-        self._enforce_bounds()
-        return {
-            "directory": str(directory),
-            "store": str(self.path),
-            "imported": imported,
-            "already_present": present,
-            "skipped": skipped,
-        }

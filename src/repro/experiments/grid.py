@@ -13,9 +13,10 @@ to :func:`run_grid`, which
   seed and the cell's configuration (see
   :func:`repro.core.rng.derive_rng`), so results are bit-identical for any
   worker count and scheduling order,
-* memoizes completed cells in an on-disk JSON cache keyed by a content hash
-  of the cell configuration (:class:`GridCache`), so re-running a figure —
-  or another figure sharing cells — skips completed work, and
+* memoizes completed cells in an on-disk SQLite cell store keyed by a
+  content hash of the cell configuration (:class:`CellStore`), so
+  re-running a figure — or another figure sharing cells — skips completed
+  work, and
 * deduplicates identical cells within a single run even without a cache.
 
 Cell *runners* are plain top-level functions registered by name with the
@@ -31,18 +32,18 @@ import abc
 import concurrent.futures
 import hashlib
 import json
-import os
-import tempfile
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..core.rng import derive_rng
 from ..exceptions import GridExecutionError, InvalidParameterError
+
+if TYPE_CHECKING:
+    from .cellstore import SQLiteCellStore
 
 #: Bumped whenever cell semantics change in a way that invalidates old
 #: cached rows; part of every cache key.  2: the level-wise GBDT rewrite
@@ -112,61 +113,6 @@ def _jsonable(value: Any) -> Any:
 def canonical_json(value: Any) -> str:
     """Deterministic JSON encoding (sorted keys, no whitespace)."""
     return json.dumps(_jsonable(value), sort_keys=True, separators=(",", ":"))
-
-
-def _fsync_directory(directory: Path) -> None:
-    """Best-effort fsync of a directory, so a fresh rename survives power loss.
-
-    Platforms that cannot open directories for fsync (e.g. Windows) simply
-    skip this step — it strengthens durability, never correctness.
-    """
-    fd = None
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        if fd is not None:
-            try:
-                os.close(fd)
-            except OSError:
-                pass
-
-
-def _write_json_atomic(path: Path, payload: Any, indent: int | None = 1) -> Path:
-    """Write ``payload`` as JSON via a temp file + fsync + ``os.replace``.
-
-    Crash-atomic: readers never observe a torn file, and the temp file is
-    fsynced *before* the rename (plus a best-effort fsync of the directory
-    after it) so a power loss cannot surface an empty or torn renamed file.
-    The shared implementation behind cache entries, plan files and shard
-    artifacts.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        mode="w",
-        encoding="utf-8",
-        dir=path.parent,
-        prefix=f".{path.name}.",
-        suffix=".tmp",
-        delete=False,
-    )
-    try:
-        with handle:
-            json.dump(payload, handle, indent=indent)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(handle.name, path)
-        _fsync_directory(path.parent)
-    except BaseException:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
-    return path
 
 
 # --------------------------------------------------------------------------- #
@@ -245,47 +191,26 @@ class GridCell:
 
 
 # --------------------------------------------------------------------------- #
-# cell-store seam and the JSON cache
+# the cell-store seam
 # --------------------------------------------------------------------------- #
-#: Valid values of the ``cache_backend`` option threaded through
-#: :meth:`CellStore.from_options`, ``run_shard``, ``ShardedExecutor`` and the
-#: CLIs.  ``json`` is the file-per-cell parity baseline; ``sqlite`` is the
-#: WAL-mode single-database store of :mod:`repro.experiments.cellstore`.
-CACHE_BACKENDS = ("json", "sqlite")
-
-
-def validate_cache_backend(cache_backend: str) -> str:
-    """Validate a ``cache_backend`` option value."""
-    if cache_backend not in CACHE_BACKENDS:
-        raise InvalidParameterError(
-            f"cache_backend must be one of {CACHE_BACKENDS}, got {cache_backend!r}"
-        )
-    return cache_backend
-
-
 class CellStore(abc.ABC):
     """Storage seam behind the grid engine's completed-cell memo.
 
     :func:`run_grid` (and everything above it) only relies on this
-    interface, so the persistence layer is pluggable: :class:`GridCache`
-    keeps one JSON file per cell (the parity baseline), while
-    :class:`repro.experiments.cellstore.SQLiteCellStore` keeps every entry —
-    plus shard completion journals and a run ledger — in one WAL-mode SQLite
-    database.  Implementations must degrade I/O failures to a once-warned
-    cache miss rather than aborting a grid run.
+    interface; :class:`repro.experiments.cellstore.SQLiteCellStore` keeps
+    every entry — plus shard completion journals and a run ledger — in one
+    WAL-mode SQLite database.  Implementations must degrade I/O failures to
+    a once-warned cache miss rather than aborting a grid run.
     """
 
-    #: Backend tag (``"json"`` / ``"sqlite"``), used to decide whether a
-    #: parent cache and a sharded executor's worker caches share storage.
-    backend: str = "json"
-    #: Directory the store lives in (shared-storage identity checks).
-    directory: Path
-    max_entries: int | None = None
-    max_bytes: int | None = None
-
     @abc.abstractmethod
-    def get(self, cell: "GridCell") -> "list[dict[str, Any]] | None":
-        """Cached rows of ``cell``, or ``None`` on a miss."""
+    def lookup(
+        self, cells: Sequence["GridCell"]
+    ) -> "list[list[dict[str, Any]] | None]":
+        """Cached rows of each of ``cells`` in order (``None`` on a miss).
+
+        One call serves a whole plan, so a store can batch its reads.
+        """
 
     @abc.abstractmethod
     def put(
@@ -297,291 +222,28 @@ class CellStore(abc.ABC):
     def stats(self) -> dict[str, Any]:
         """Current occupancy and configured bounds."""
 
-    def _enforce_bounds(self, protect: Any = None) -> None:
-        """Re-check the size bounds after out-of-band writes (no-op default)."""
-
     @classmethod
     def from_options(
         cls,
         directory: "str | Path | None",
         max_entries: int | None = None,
         max_bytes: int | None = None,
-        cache_backend: str = "json",
-    ) -> "CellStore | None":
+    ) -> "SQLiteCellStore | None":
         """Build a cell store from optional CLI-style options (``None`` → no cache).
 
-        The one place the ``(directory, max_entries, max_bytes,
-        cache_backend)`` wiring lives; the runner, the shard worker and the
-        sharded executor all construct their caches through it so a future
-        option cannot silently diverge between the parent and its workers.
-        ``cache_backend="sqlite"`` stores the cells in
-        ``<directory>/cells.sqlite`` instead of one JSON file per cell.
+        The one place the ``(directory, max_entries, max_bytes)`` wiring
+        lives; the runner, the shard worker and the sharded executor all
+        construct their caches through it so a future option cannot silently
+        diverge between the parent and its workers.  The store lives in
+        ``<directory>/cells.sqlite``.
         """
-        validate_cache_backend(cache_backend)
         if directory is None:
             return None
-        if cache_backend == "sqlite":
-            from .cellstore import SQLiteCellStore  # late: avoids a cycle
+        from .cellstore import SQLiteCellStore  # late: avoids a cycle
 
-            return SQLiteCellStore.for_directory(
-                directory, max_entries=max_entries, max_bytes=max_bytes
-            )
-        return GridCache(directory, max_entries=max_entries, max_bytes=max_bytes)
-
-
-class GridCache(CellStore):
-    """On-disk JSON memo of completed grid cells.
-
-    Layout: one ``<config-hash>.json`` file per cell under ``directory``,
-    holding the cell description, its rows and the compute time.  Writes are
-    atomic (temp file + fsync + ``os.replace``) so concurrent runs never
-    observe a torn entry, even across a power loss.
-
-    I/O failures beyond a plain miss — a read-only cache directory, a
-    ``PermissionError``, an entry that is actually a directory (``EISDIR``),
-    any other ``OSError`` — never abort a grid run: :meth:`get` degrades to a
-    cache miss and :meth:`put` skips persisting, each emitting a single
-    :class:`RuntimeWarning` per cache instance so a misconfigured cache is
-    visible without killing hours of computed cells mid-flight.
-
-    Size bounds: ``max_entries`` / ``max_bytes`` cap the number of entry
-    files and their cumulative size.  Bounds are enforced after every
-    :meth:`put` by evicting the least-recently-*used* entries first —
-    :meth:`get` refreshes the entry's modification time on every hit, so a
-    hot entry survives eviction while a stale one goes (true LRU, not
-    FIFO-by-write-time); the entry just written is never evicted, so a
-    single oversized cell still round-trips within its own run.  An
-    unbounded cache (both limits ``None``) behaves exactly as before.
-    """
-
-    backend = "json"
-
-    def __init__(
-        self,
-        directory: str | Path,
-        max_entries: int | None = None,
-        max_bytes: int | None = None,
-    ) -> None:
-        self.directory = Path(directory)
-        if max_entries is not None and int(max_entries) < 1:
-            raise InvalidParameterError(f"max_entries must be >= 1, got {max_entries}")
-        if max_bytes is not None and int(max_bytes) < 1:
-            raise InvalidParameterError(f"max_bytes must be >= 1, got {max_bytes}")
-        self.max_entries = None if max_entries is None else int(max_entries)
-        self.max_bytes = None if max_bytes is None else int(max_bytes)
-        self._evicted = 0
-        self._warned: set[tuple[str, int | None]] = set()
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise InvalidParameterError(
-                f"cache directory {self.directory} is not usable: {exc}"
-            ) from exc
-        # running occupancy estimate so bounded puts stay O(1) while under
-        # the limits; the authoritative directory scan only happens when a
-        # put appears to cross a bound (and at construction, here)
-        self._count_estimate = 0
-        self._bytes_estimate = 0
-        if self.max_entries is not None or self.max_bytes is not None:
-            for _, size, _ in self._entry_files():
-                self._count_estimate += 1
-                self._bytes_estimate += size
-
-    def _warn_io(self, action: str, path: Path, exc: OSError) -> None:
-        """Warn once per ``(action, errno)`` category that cache I/O is failing.
-
-        Keying on the failure category (rather than a single boolean) means a
-        read permission error does not suppress the later report of, say, a
-        write hitting a full disk — each distinct failure mode surfaces
-        exactly once per cache instance.
-        """
-        category = (action, getattr(exc, "errno", None))
-        if category in self._warned:
-            return
-        self._warned.add(category)
-        warnings.warn(
-            f"grid cache {action} failed for {path} ({exc}); "
-            "continuing without the cache (cells are recomputed, not persisted)",
-            RuntimeWarning,
-            stacklevel=3,
+        return SQLiteCellStore.for_directory(
+            directory, max_entries=max_entries, max_bytes=max_bytes
         )
-
-    def path_for(self, cell: GridCell) -> Path:
-        """Cache file path of ``cell``."""
-        return self.directory / f"{cell.config_hash}.json"
-
-    def get(self, cell: GridCell) -> list[dict[str, Any]] | None:
-        """Cached rows of ``cell``, or ``None`` on a miss.
-
-        Unreadable entries (corrupt JSON, permission errors, a directory in
-        place of the file, ...) are treated as misses.
-        """
-        path = self.path_for(cell)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            self._warn_io("read", path, exc)
-            return None
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        # guard against (astronomically unlikely) hash collisions and
-        # hand-edited entries
-        if entry.get("key") != cell.key or entry.get("master_seed") != cell.master_seed:
-            return None
-        rows = entry.get("rows")
-        if not isinstance(rows, list):
-            return None
-        try:
-            # LRU: a hit refreshes the entry's eviction clock, so a bounded
-            # cache evicts stale entries before hot ones
-            os.utime(path)
-        except OSError:
-            pass
-        return rows
-
-    def put(
-        self, cell: GridCell, rows: Sequence[Mapping[str, Any]], elapsed: float
-    ) -> Path | None:
-        """Persist the rows of a freshly computed cell.
-
-        Returns the entry path, or ``None`` when the cache directory is not
-        writable (the run continues uncached).
-        """
-        path = self.path_for(cell)
-        bounded = self.max_entries is not None or self.max_bytes is not None
-        existed = bounded and path.exists()
-        old_size = 0
-        if existed:
-            try:
-                old_size = path.stat().st_size
-            except OSError:
-                existed = False  # vanished mid-put: account as a fresh entry
-        entry = {
-            "schema": GRID_SCHEMA_VERSION,
-            "runner": cell.runner,
-            "key": cell.key,
-            "params": _jsonable(cell.params),
-            "master_seed": cell.master_seed,
-            "elapsed": float(elapsed),
-            "rows": [_jsonable(row) for row in rows],
-        }
-        try:
-            _write_json_atomic(path, entry, indent=None)
-        except OSError as exc:
-            self._warn_io("write", path, exc)
-            return None
-        if bounded:
-            try:
-                self._count_estimate += 0 if existed else 1
-                self._bytes_estimate += path.stat().st_size - old_size
-            except OSError:
-                # the fresh entry's size is unknowable, so neither running
-                # estimate can be kept honest — run the authoritative rescan
-                # now (it re-seeds both) instead of letting the byte estimate
-                # silently drift below reality
-                self._enforce_bounds(protect=path)
-                return path
-            over_entries = (
-                self.max_entries is not None and self._count_estimate > self.max_entries
-            )
-            over_bytes = (
-                self.max_bytes is not None and self._bytes_estimate > self.max_bytes
-            )
-            if over_entries or over_bytes:
-                self._enforce_bounds(protect=path)
-        return path
-
-    def _entry_files(self) -> list[tuple[float, int, Path]]:
-        """``(mtime, size, path)`` of every entry file (unreadable ones skipped).
-
-        An unreadable *directory* degrades to an empty listing with the usual
-        once-per-instance warning — :meth:`stats` and eviction must never
-        raise where :meth:`get`/:meth:`put` would have warned.
-        """
-        entries: list[tuple[float, int, Path]] = []
-        try:
-            for path in self.directory.glob("*.json"):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                entries.append((stat.st_mtime, stat.st_size, path))
-        except OSError as exc:
-            self._warn_io("directory scan", self.directory, exc)
-        return entries
-
-    def _enforce_bounds(self, protect: Path | None = None) -> None:
-        """Evict least-recently-used entries until the configured bounds hold.
-
-        "Used" is the file modification time, which :meth:`get` refreshes on
-        every hit.  Runs the authoritative directory scan and re-seeds the
-        running occupancy estimate used by :meth:`put`.
-        """
-        if self.max_entries is None and self.max_bytes is None:
-            return
-        try:
-            entries = self._entry_files()
-        except OSError as exc:  # pragma: no cover - glob itself failing
-            self._warn_io("eviction scan", self.directory, exc)
-            return
-        entries.sort(key=lambda item: item[0])  # oldest first
-        count = len(entries)
-        total = sum(size for _, size, _ in entries)
-        try:
-            for _, size, path in entries:
-                over_entries = self.max_entries is not None and count > self.max_entries
-                over_bytes = self.max_bytes is not None and total > self.max_bytes
-                if not (over_entries or over_bytes):
-                    break
-                if protect is not None and path == protect:
-                    continue
-                try:
-                    path.unlink()
-                except FileNotFoundError:
-                    pass
-                except OSError as exc:
-                    self._warn_io("eviction", path, exc)
-                    return
-                self._evicted += 1
-                count -= 1
-                total -= size
-        finally:
-            self._count_estimate = count
-            self._bytes_estimate = total
-
-    def stats(self) -> dict[str, Any]:
-        """Current cache occupancy and configured bounds."""
-        entries = self._entry_files()
-        return {
-            "backend": self.backend,
-            "directory": str(self.directory),
-            "entries": len(entries),
-            "total_bytes": int(sum(size for _, size, _ in entries)),
-            "max_entries": self.max_entries,
-            "max_bytes": self.max_bytes,
-            "evicted": self._evicted,
-        }
-
-    def __len__(self) -> int:
-        try:
-            return sum(1 for _ in self.directory.glob("*.json"))
-        except OSError as exc:
-            self._warn_io("directory scan", self.directory, exc)
-            return 0
-
-
-def ensure_cache(cache: "CellStore | str | Path | None") -> "CellStore | None":
-    """Normalize a cache argument (cell store, directory path or ``None``)."""
-    if cache is None or isinstance(cache, CellStore):
-        return cache
-    if isinstance(cache, (str, Path)):
-        return GridCache(cache)
-    raise InvalidParameterError(
-        f"cache must be a CellStore, a directory path or None, got {type(cache)!r}"
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -630,7 +292,7 @@ class GridResult:
 
     @property
     def resumed(self) -> int:
-        """Cells restored from a prior interrupted run's partial artifacts."""
+        """Cells restored from a prior interrupted run's shard journal."""
         return sum(1 for outcome in self.outcomes if outcome.source == "resumed")
 
     def summary(self) -> dict[str, Any]:
@@ -714,15 +376,17 @@ class SerialExecutor(Executor):
             record(index, rows, elapsed, "computed")
 
 
-class ProcessPoolExecutor(Executor):
-    """Fan cells out across a ``multiprocessing`` pool (the former
-    ``run_grid(workers=N)`` path, extracted behind the executor seam).
+class PoolExecutor(Executor):
+    """Fan cells out across the ``concurrent.futures`` pool ``pool_class``.
 
     Falls back to in-process execution when the pool cannot help (one worker
     or at most one task).  On a failing cell the pool keeps draining so every
     surviving cell is still recorded (and therefore cached) before the first
-    error propagates.
+    error propagates.  ``record`` is only ever invoked from the calling
+    thread, so the callback needs no locking.
     """
+
+    pool_class: Callable[..., concurrent.futures.Executor]
 
     def __init__(self, workers: int = 2) -> None:
         if int(workers) < 1:
@@ -734,9 +398,7 @@ class ProcessPoolExecutor(Executor):
         if self.workers == 1 or len(tasks) <= 1:
             SerialExecutor().execute(tasks, record)
             return
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.workers, len(tasks))
-        ) as pool:
+        with self.pool_class(max_workers=min(self.workers, len(tasks))) as pool:
             futures = {
                 pool.submit(_execute_payload, _cell_payload(cell)): index
                 for index, cell in tasks
@@ -755,7 +417,13 @@ class ProcessPoolExecutor(Executor):
                 raise first_error
 
 
-class ThreadedExecutor(Executor):
+class ProcessPoolExecutor(PoolExecutor):
+    """Fan cells out across a ``multiprocessing`` pool (``run_grid(workers=N)``)."""
+
+    pool_class = concurrent.futures.ProcessPoolExecutor
+
+
+class ThreadedExecutor(PoolExecutor):
     """Fan cells out across an in-process thread pool.
 
     Profitable when the hot kernels release the GIL — the numba backend of
@@ -764,42 +432,10 @@ class ThreadedExecutor(Executor):
     params and result rows stay in one address space.  Pure-NumPy cells
     also overlap wherever NumPy drops the GIL, just less completely.  Rows
     are byte-identical to :class:`SerialExecutor` because every cell
-    derives its RNG from the master seed and its own key alone; ``record``
-    is only ever invoked from the calling thread, so the callback needs no
-    locking.  Like the process pool it keeps draining after a failing cell
-    so surviving cells are still recorded before the first error
-    propagates.
+    derives its RNG from the master seed and its own key alone.
     """
 
-    def __init__(self, workers: int = 2) -> None:
-        if int(workers) < 1:
-            raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-        self.workers = int(workers)
-
-    def execute(self, tasks: Sequence[tuple[int, GridCell]], record: RecordFn) -> None:
-        tasks = list(tasks)
-        if self.workers == 1 or len(tasks) <= 1:
-            SerialExecutor().execute(tasks, record)
-            return
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(self.workers, len(tasks))
-        ) as pool:
-            futures = {
-                pool.submit(_execute_payload, _cell_payload(cell)): index
-                for index, cell in tasks
-            }
-            first_error: BaseException | None = None
-            for future in concurrent.futures.as_completed(futures):
-                try:
-                    rows, elapsed = future.result()
-                except BaseException as exc:
-                    # keep draining so the surviving cells still hit the cache
-                    if first_error is None:
-                        first_error = exc
-                    continue
-                record(futures[future], rows, elapsed, "computed")
-            if first_error is not None:
-                raise first_error
+    pool_class = concurrent.futures.ThreadPoolExecutor
 
 
 def resolve_executor(executor: "Executor | None", workers: int = 1) -> Executor:
@@ -838,8 +474,9 @@ def run_grid(
         Process-pool size; ``1`` executes in-process (no pool).  Ignored when
         an explicit ``executor`` is given.
     cache:
-        Optional :class:`CellStore` (or cache directory) serving completed
-        cells and persisting fresh ones.
+        Optional :class:`CellStore` serving completed cells and persisting
+        fresh ones, or a cache directory whose store is opened for this
+        call only.
     executor:
         Optional :class:`Executor` deciding where the pending cells run
         (serial, process pool, sharded subprocess workers, ...).  All
@@ -847,11 +484,19 @@ def run_grid(
     on_cell_complete:
         Optional observer invoked (in the parent process) with each
         :class:`CellOutcome` the executor records, in completion order —
-        the hook shard workers use to persist partial artifacts
+        the hook shard workers use to journal completed cells
         incrementally.
     """
+    if isinstance(cache, (str, Path)):
+        from .cellstore import SQLiteCellStore  # late: avoids a cycle
+
+        with SQLiteCellStore.for_directory(cache) as store:
+            return run_grid(cells, workers, store, executor, on_cell_complete)
+    if cache is not None and not isinstance(cache, CellStore):
+        raise InvalidParameterError(
+            f"cache must be a CellStore, a directory path or None, got {type(cache)!r}"
+        )
     executor = resolve_executor(executor, workers)
-    cache = ensure_cache(cache)
     cells = list(cells)
     for cell in cells:
         get_cell_runner(cell.runner)  # fail fast on unknown runners
@@ -864,10 +509,12 @@ def run_grid(
     start = time.perf_counter()
     outcomes: list[CellOutcome | None] = [None] * len(cells)
 
-    # 1. serve cells from the cache
+    # 1. serve cells from the cache: one lookup for the whole plan
+    hits: list[list[dict[str, Any]] | None] = (
+        cache.lookup(cells) if cache is not None else [None] * len(cells)
+    )
     pending: list[int] = []
-    for index, cell in enumerate(cells):
-        rows = cache.get(cell) if cache is not None else None
+    for index, (cell, rows) in enumerate(zip(cells, hits)):
         if rows is not None:
             outcomes[index] = CellOutcome(cell=cell, rows=rows, elapsed=0.0, source="cache")
         else:
@@ -886,24 +533,8 @@ def run_grid(
             to_compute.append(index)
 
     # 3. hand the remaining cells to the executor; each cell is persisted to
-    # the cache as it is recorded (per completion for the in-process
-    # executors; shard workers additionally keep their own partial artifacts
-    # and can be handed the cache directly, so interrupted runs keep their
-    # completed work on every path).  When the executor already writes
-    # through the same unbounded cache directory, the parent-side put would
-    # only duplicate the I/O — skip it (a *bounded* cache still puts, since
-    # eviction accounting lives with the bounds).
-    executor_cache = getattr(executor, "cache_dir", None)
-    shares_cache_dir = (
-        cache is not None
-        and executor_cache is not None
-        and getattr(executor, "cache_backend", "json") == cache.backend
-        and Path(executor_cache).resolve() == cache.directory.resolve()
-    )
-    redundant_put = (
-        shares_cache_dir and cache.max_entries is None and cache.max_bytes is None
-    )
-
+    # the cache as it is recorded, so interrupted runs keep their completed
+    # work on every path
     def record(
         index: int,
         cell_rows: list[dict[str, Any]],
@@ -914,21 +545,13 @@ def run_grid(
             cell=cells[index], rows=list(cell_rows), elapsed=float(elapsed), source=source
         )
         outcomes[index] = outcome
-        # the redundant-put shortcut only applies to cells the workers wrote
-        # through (computed) or found in (cache) the shared directory this
-        # run; cells resumed from partial artifacts may predate the cache
-        if cache is not None and not (redundant_put and source in ("computed", "cache")):
+        if cache is not None:
             cache.put(cells[index], cell_rows, elapsed)
         if on_cell_complete is not None:
             on_cell_complete(outcome)
 
     if to_compute:
         executor.execute([(index, cells[index]) for index in to_compute], record)
-        if shares_cache_dir and not redundant_put:
-            # shard workers wrote through the cache out-of-band of this
-            # instance's occupancy estimate; rescan so the bounds hold over
-            # their entries too
-            cache._enforce_bounds()
 
     unrecorded = [index for index in to_compute if outcomes[index] is None]
     if unrecorded:

@@ -24,7 +24,7 @@ from ..datasets.loaders import load_dataset
 from ..metrics.accuracy import as_percentage
 from .attribute_inference_rsfd import classifier_name, resolve_classifier_factory
 from .config import PAPER_EPSILONS
-from .grid import Executor, GridCache, GridCell, cell_runner, execute_plan
+from .grid import CellStore, Executor, GridCell, cell_runner, execute_plan
 from .reporting import mean_rows
 
 
@@ -169,7 +169,7 @@ def run_reidentification_rsfd(
     amortize_nk: bool = True,
     redraw_attributes: bool = False,
     workers: int = 1,
-    cache: "GridCache | str | None" = None,
+    cache: "CellStore | str | None" = None,
     executor: "Executor | None" = None,
     grid_info: dict | None = None,
 ) -> list[dict]:

@@ -2,14 +2,14 @@
 
 The subprocess entrypoint launched once per shard by
 :class:`repro.experiments.sharding.ShardedExecutor` (and launchable by any
-external scheduler): it loads a serialized cell plan, executes the cells of
-one shard — resuming from the shard's existing partial artifact when the
-plan fingerprint matches — writes the partial artifact back and prints a
-one-line JSON summary (``computed`` / ``resumed`` / ``from_cache`` counts)
-to stdout.
+batch scheduler on the same host): it loads a serialized cell plan, executes
+the cells of one shard — resuming every cell the workspace's shard journal
+already holds for the same plan fingerprint — journals each completed cell
+and prints a one-line JSON summary (``computed`` / ``resumed`` /
+``from_cache`` counts) to stdout.
 
 Exit status: 0 on success, 2 on configuration errors (bad plan file, shard
-index out of range, foreign partial artifact).
+index out of range, unusable journal or cache).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ..exceptions import ReproError
-from .grid import CACHE_BACKENDS, CellStore
+from .grid import CellStore
 from .sharding import load_plan, run_shard
 
 
@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dir",
         default=None,
         metavar="DIR",
-        help="directory for the partial artifact (default: the plan file's directory)",
+        help="directory holding the shard journal (default: the plan file's directory)",
     )
     parser.add_argument(
         "--workers",
@@ -65,28 +65,19 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="evict oldest cache entries beyond N files",
+        help="evict least-recently-used cache entries beyond N",
     )
     parser.add_argument(
         "--cache-max-bytes",
         type=int,
         default=None,
         metavar="B",
-        help="evict oldest cache entries beyond B total bytes",
-    )
-    parser.add_argument(
-        "--cache-backend",
-        choices=CACHE_BACKENDS,
-        default="json",
-        metavar="BACKEND",
-        help="cell-store layout: 'json' (file-per-cell cache + per-shard "
-        "artifact files) or 'sqlite' (WAL-mode databases; shards journal "
-        "into the workspace's shards.sqlite)",
+        help="evict least-recently-used cache entries beyond B total bytes",
     )
     parser.add_argument(
         "--no-resume",
         action="store_true",
-        help="recompute every cell even when the shard's partial artifact exists",
+        help="recompute every cell of this shard even when it is already journaled",
     )
     return parser
 
@@ -102,7 +93,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.cache_dir,
             max_entries=args.cache_max_entries,
             max_bytes=args.cache_max_bytes,
-            cache_backend=args.cache_backend,
         )
         result = run_shard(
             plan["cells"],
@@ -112,13 +102,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             workers=args.workers,
             cache=cache,
             resume=not args.no_resume,
-            cache_backend=args.cache_backend,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if cache is not None and hasattr(cache, "close"):
+        if cache is not None:
             cache.close()
     print(json.dumps(result.summary()))
     return 0

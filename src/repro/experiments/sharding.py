@@ -1,25 +1,31 @@
 """Sharded, resumable grid execution.
 
 A figure's cell plan can be split into ``N`` deterministic shards that
-execute in *separate invocations* — different processes, different machines
-sharing a filesystem, or different points in time — and merge back into the
-canonical figure artifact:
+execute in *separate invocations* — different processes on one host, or
+different points in time — and merge back into the canonical figure
+artifact:
 
 * :func:`shard_positions` assigns cells to shards round-robin over the plan
   order, so any ``(shards, shard_index)`` pair names the same subset on every
   invocation of the same plan;
-* :func:`run_shard` executes one shard resumably: cells already present in
-  the shard's partial artifact (same :func:`plan_fingerprint`) are *resumed*
+* :func:`run_shard` executes one shard resumably: every completed cell is
+  journaled in the workspace's :data:`SHARD_DB_NAME` database, and cells
+  already journaled for the same :func:`plan_fingerprint` are *resumed*
   instead of recomputed, so an interrupted invocation picks up where it
   stopped;
-* :func:`merge_artifacts` combines partial artifacts — in any order, from
-  any shard count — into the full plan's rows, with completeness checking
-  that names the missing cells instead of silently truncating;
+* :func:`journal_artifacts` reads the journal back as one in-memory
+  artifact per shard, and :func:`merge_artifacts` combines artifacts — in
+  any order, from any shard count — into the full plan's rows, with
+  completeness checking that names the missing cells instead of silently
+  truncating;
 * :class:`ShardedExecutor` plugs the whole cycle behind the
   :class:`repro.experiments.grid.Executor` seam, launching one
   ``python -m repro.experiments.shard_worker`` subprocess per shard (or
-  running shards inline) and merging the partial artifacts back into the
-  grid result.
+  running shards inline) and merging the journal back into the grid result.
+
+The journal is a WAL-mode SQLite database, so every invocation of one plan
+must run on the same host: WAL does not work over a network filesystem.
+Runs spanning hosts use :class:`repro.experiments.remote.RemoteExecutor`.
 
 Because every cell derives its random stream from the master seed and its
 own key alone (independent of placement), sharded execution is byte-identical
@@ -39,12 +45,10 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
-
-if TYPE_CHECKING:
-    from .cellstore import SQLiteCellStore
+from typing import Any, Mapping, Sequence
 
 from ..exceptions import GridExecutionError, InvalidParameterError, ShardMergeError
+from .cellstore import SQLiteCellStore
 from .grid import (
     GRID_SCHEMA_VERSION,
     CellOutcome,
@@ -53,33 +57,28 @@ from .grid import (
     GridCell,
     RecordFn,
     _jsonable,
-    _write_json_atomic,
     canonical_json,
     run_grid,
-    validate_cache_backend,
 )
 
 #: File name of the serialized plan inside a shard directory.
 PLAN_FILE = "plan.json"
 
-#: Database file holding a workspace's shard completion journal when the
-#: ``sqlite`` cache backend is selected: every shard invocation of a plan
-#: appends its completed cells to this one WAL-mode database (no per-shard
-#: artifact files, no merge of partials — the merge reads the journal back
-#: with one query per plan fingerprint).
+#: Database file holding a workspace's shard completion journal: every shard
+#: invocation of a plan appends its completed cells to this one WAL-mode
+#: database, and the merge reads it back with one query per plan
+#: fingerprint.
 SHARD_DB_NAME = "shards.sqlite"
 
 
-def workspace_store(directory: str | Path) -> "SQLiteCellStore":
+def workspace_store(directory: str | Path) -> SQLiteCellStore:
     """Open (creating if needed) a workspace's shard-journal database.
 
     The journal is *not* a cell cache: it holds shard completion records
     keyed by plan fingerprint, lives at a fixed path inside the workspace,
-    and has no bounds or backend choice — so ``CellStore.from_options``
-    (which wires user-facing cache options) is deliberately not involved.
+    and has no bounds — so ``CellStore.from_options`` (which wires
+    user-facing cache options) is deliberately not involved.
     """
-    from .cellstore import SQLiteCellStore
-
     return SQLiteCellStore(  # reprolint: disable=REPRO401
         Path(directory) / SHARD_DB_NAME
     )
@@ -126,7 +125,7 @@ def plan_workspace(root: str | Path, cells: Sequence[GridCell]) -> Path:
     """Per-plan shard workspace inside a shared ``root`` directory.
 
     Keyed by the plan fingerprint, so one persistent root serves many plans
-    (figures, scales, seeds) without their partial artifacts colliding.
+    (figures, scales, seeds) without their journals colliding.
     Both the CLI shard paths and :class:`ShardedExecutor` resolve workspaces
     through this helper, so they agree on the layout.
     """
@@ -134,14 +133,41 @@ def plan_workspace(root: str | Path, cells: Sequence[GridCell]) -> Path:
 
 
 # --------------------------------------------------------------------------- #
-# plan and partial-artifact files
+# the plan file and the shard journal
 # --------------------------------------------------------------------------- #
+def _write_json_atomic(path: Path, payload: Any) -> Path:
+    """Write ``payload`` as JSON via a temp file + fsync + ``os.replace``.
+
+    Readers never observe a torn file, and the data is on disk before the
+    rename publishes it.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    handle = tempfile.NamedTemporaryFile(
+        mode="w",
+        encoding="utf-8",
+        dir=path.parent,
+        prefix=f".{path.name}.",
+        suffix=".tmp",
+        delete=False,
+    )
+    try:
+        with handle:
+            json.dump(payload, handle, indent=1)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(handle.name, path)
+    except BaseException:
+        Path(handle.name).unlink(missing_ok=True)
+        raise
+    return path
+
+
 def write_plan(directory: str | Path, cells: Sequence[GridCell], shards: int) -> Path:
     """Persist the plan file a shard worker needs to recreate the cells.
 
     Idempotent for the same plan; a *different* plan already occupying the
-    directory is an operator error (mixing two runs' partial artifacts would
-    poison the merge) and raises instead of silently overwriting.
+    directory is an operator error (mixing two runs' journals would poison
+    the merge) and raises instead of silently overwriting.
     """
     shards = validate_shards(shards)
     fingerprint = plan_fingerprint(cells)
@@ -192,94 +218,24 @@ def load_plan(path: str | Path) -> dict[str, Any]:
     return plan
 
 
-def shard_artifact_path(directory: str | Path, shards: int, shard_index: int) -> Path:
-    """Canonical partial-artifact path of one shard."""
-    validate_shards(shards, shard_index)
-    return Path(directory) / f"shard-{int(shard_index):04d}-of-{int(shards):04d}.json"
-
-
-def _journal_path(artifact_path: Path) -> Path:
-    """Append-only completion journal backing one shard artifact."""
-    return artifact_path.with_name(artifact_path.name + ".journal.jsonl")
-
-
-def _load_journal(journal: Path, fingerprint: str) -> dict[str, dict[str, Any]]:
-    """Entries recovered from a crashed invocation's journal (may be empty).
-
-    Lines are self-contained ``{"plan_hash", "entry"}`` records; torn lines
-    (a crash interrupted the write) and records of a different plan are
-    skipped, never the valid records around them.
-    """
-    recovered: dict[str, dict[str, Any]] = {}
-    try:
-        with open(journal, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn line from a crash mid-append
-                if record.get("plan_hash") != fingerprint:
-                    continue
-                entry = record.get("entry") or {}
-                if "config_hash" in entry:
-                    recovered[str(entry["config_hash"])] = entry
-    except OSError:
-        pass
-    return recovered
-
-
-def find_shard_artifacts(directory: str | Path, shards: int) -> list[Path]:
-    """Existing partial artifacts of an ``N``-shard split (sorted by index)."""
-    shards = validate_shards(shards)
-    return [
-        path
-        for index in range(shards)
-        if (path := shard_artifact_path(directory, shards, index)).exists()
-    ]
-
-
-def load_shard_artifact(path: str | Path) -> dict[str, Any]:
-    """Load and structurally validate one partial artifact."""
-    path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ShardMergeError(f"cannot read shard artifact {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ShardMergeError(f"shard artifact {path} is not a JSON object")
-    for field in ("plan_hash", "shards", "shard_index", "entries"):
-        if field not in payload:
-            raise ShardMergeError(f"shard artifact {path} lacks the {field!r} field")
-    payload["path"] = str(path)
-    return payload
-
-
 def journal_artifacts(
-    store: "SQLiteCellStore", fingerprint: str, shards: int
+    directory: str | Path, fingerprint: str, shards: int
 ) -> list[dict[str, Any]]:
-    """Reassemble per-shard in-memory artifacts from a journal database.
+    """Per-shard in-memory artifacts of a plan, read from a workspace journal.
 
-    The DB-backed counterpart of :func:`find_shard_artifacts` +
-    :func:`load_shard_artifact`: one ``shard_journal`` query per plan
-    fingerprint replaces reading ``N`` partial-artifact files, and the
-    returned mappings feed straight into :func:`merge_artifacts` (which
-    accepts in-memory artifacts as well as paths).
+    One ``shard_journal`` query per plan fingerprint; the returned mappings
+    feed straight into :func:`merge_artifacts`.
     """
     shards = validate_shards(shards)
     entries_by_shard: dict[int, list[dict[str, Any]]] = {
         index: [] for index in range(shards)
     }
-    for shard_index, entry in store.journal_records(fingerprint):
-        entries_by_shard.setdefault(shard_index, []).append(entry)
+    with workspace_store(directory) as store:
+        for shard_index, entry in store.journal_records(fingerprint):
+            entries_by_shard.setdefault(shard_index, []).append(entry)
     return [
         {
-            "schema": GRID_SCHEMA_VERSION,
             "plan_hash": fingerprint,
-            "shards": shards,
             "shard_index": shard_index,
             "entries": entries,
             "path": f"{store.path}#shard-{shard_index}",
@@ -309,7 +265,6 @@ class ShardRunResult:
     resumed: int
     from_cache: int
     deduplicated: int
-    backend: str = "json"
 
     def summary(self) -> dict[str, Any]:
         """JSON-serializable invocation summary (printed by the CLI)."""
@@ -323,7 +278,6 @@ class ShardRunResult:
             "from_cache": self.from_cache,
             "deduplicated": self.deduplicated,
             "artifact": str(self.path),
-            "backend": self.backend,
         }
 
 
@@ -336,195 +290,93 @@ def run_shard(
     workers: int = 1,
     cache: "CellStore | str | Path | None" = None,
     resume: bool = True,
-    cache_backend: str = "json",
 ) -> ShardRunResult:
-    """Execute one shard of a plan and persist its completed cells.
+    """Execute one shard of a plan and journal its completed cells.
 
-    Resumable: when the shard's artifact — or the append-only completion
-    journal a killed invocation leaves behind — already holds cells for the
-    *same* plan fingerprint, they are reused (``resumed``) and only the
-    missing ones are recomputed, so re-invoking an interrupted shard
-    finishes the remainder.  Each completed cell is appended to the journal
-    (linear I/O); the canonical artifact is written once at the end, which
-    removes the journal.  A partial artifact belonging to a different plan
-    raises instead of being silently discarded.
-
-    ``cache_backend="sqlite"`` replaces the per-shard JSON artifact and
-    JSONL journal with the workspace's one :data:`SHARD_DB_NAME` database:
-    every completed cell is journaled there as it finishes (concurrent
-    shard invocations append to the same database — WAL mode plus
-    ``busy_timeout`` serialize them), resume state is the single query
-    ``journal_entries(fingerprint)``, and no artifact file is written —
-    the merge reads the journal back.  Any entry of the plan already in
-    the journal counts as resumable, whichever invocation computed it.
+    Every completed cell is committed to the workspace's
+    :data:`SHARD_DB_NAME` journal as it finishes; concurrent shard
+    invocations append to the same database (WAL mode plus
+    ``busy_timeout`` serialize them).  Resumable: any entry of the *same*
+    plan fingerprint already in the journal, whichever invocation computed
+    it, is reused (``resumed``) and only the missing cells are recomputed,
+    so re-invoking an interrupted shard finishes the remainder.
+    ``resume=False`` first drops this shard's journal rows, leaving the
+    other shards' completed work in place.
     """
     cells = list(cells)
     shards = validate_shards(shards, shard_index)
-    validate_cache_backend(cache_backend)
     fingerprint = plan_fingerprint(cells)
-    if isinstance(cache, (str, Path)):
-        cache = CellStore.from_options(cache, cache_backend=cache_backend)
-
-    store: "SQLiteCellStore | None" = None
-    previous: dict[str, dict[str, Any]] = {}
-    if cache_backend == "sqlite":
-        path = Path(directory) / SHARD_DB_NAME
-        journal = None
-        store = workspace_store(directory)
-        if not resume:
-            # purge only THIS shard's journal rows: other shards' completed
-            # work (possibly still being appended concurrently) stays valid
-            store.journal_clear(fingerprint, shard_index=shard_index)
-        else:
+    with workspace_store(directory) as store:
+        if resume:
             previous = store.journal_entries(fingerprint)
-    else:
-        path = shard_artifact_path(directory, shards, shard_index)
-        journal = _journal_path(path)
-
-        if not resume:
-            # a forced recompute must purge the old state: a crash
-            # mid-recompute would otherwise let the next (resuming)
-            # invocation restore exactly the stale entries this flag was
-            # meant to discard
-            path.unlink(missing_ok=True)
-            journal.unlink(missing_ok=True)
-
-        if path.exists():
-            artifact = load_shard_artifact(path)
-            if artifact["plan_hash"] != fingerprint:
-                raise InvalidParameterError(
-                    f"shard artifact {path} belongs to a different plan "
-                    f"(hash {str(artifact['plan_hash'])[:12]}... != {fingerprint[:12]}...); "
-                    "use a fresh shard directory per (figure, scale, seed)"
-                )
-            if resume:
-                previous = {
-                    str(entry["config_hash"]): entry for entry in artifact["entries"]
-                }
-        if journal.exists():
-            if resume:
-                for config_hash, entry in _load_journal(journal, fingerprint).items():
-                    previous.setdefault(config_hash, entry)
-            try:
-                # a killed append may have left a torn, newline-less tail;
-                # start this invocation's records on a fresh line so they
-                # stay parseable
-                content = journal.read_bytes()
-                if content and not content.endswith(b"\n"):
-                    with open(journal, "ab") as handle:
-                        handle.write(b"\n")
-            except OSError:
-                pass
-
-    def entry_from_outcome(outcome: CellOutcome) -> dict[str, Any]:
-        return {
-            "config_hash": outcome.cell.config_hash,
-            "key": outcome.cell.key,
-            "figure": outcome.cell.figure,
-            "runner": outcome.cell.runner,
-            "params": outcome.cell.payload()["params"],
-            # same coercion GridCache.put applies, so runners returning
-            # numpy scalars serialize on the sharded path too
-            "rows": _jsonable(outcome.rows),
-            "elapsed": outcome.elapsed,
-            "source": outcome.source,
-        }
-
-    # duplicate work inside the shard gets one entry (first occurrence wins)
-    entries_by_hash: dict[str, dict[str, Any]] = {}
-    to_compute: dict[str, GridCell] = {}
-    resumed = 0
-    mine = 0
-    duplicates = 0
-    for position in shard_positions(len(cells), shards, shard_index):
-        cell = cells[position]
-        mine += 1
-        config_hash = cell.config_hash
-        if config_hash in entries_by_hash or config_hash in to_compute:
-            duplicates += 1
-            continue
-        if config_hash in previous:
-            entry = dict(previous[config_hash])
-            entry["source"] = "resumed"
-            entries_by_hash[config_hash] = entry
-            resumed += 1
         else:
-            to_compute[config_hash] = cell
-    missing = list(to_compute.values())
+            store.journal_clear(fingerprint, shard_index=shard_index)
+            previous = {}
 
-    def artifact_payload() -> dict[str, Any]:
-        return {
-            "schema": GRID_SCHEMA_VERSION,
-            "plan_hash": fingerprint,
-            "shards": shards,
-            "shard_index": shard_index,
-            "entries": list(entries_by_hash.values()),
-        }
+        # duplicate work inside the shard gets one entry (first occurrence wins)
+        journaled: set[str] = set()
+        to_compute: dict[str, GridCell] = {}
+        resumed = 0
+        mine = 0
+        duplicates = 0
+        for position in shard_positions(len(cells), shards, shard_index):
+            cell = cells[position]
+            mine += 1
+            config_hash = cell.config_hash
+            if config_hash in journaled or config_hash in to_compute:
+                duplicates += 1
+            elif config_hash in previous:
+                # re-journal under this shard, tagged as restored work
+                journaled.add(config_hash)
+                entry = {**previous[config_hash], "source": "resumed"}
+                store.journal_append(fingerprint, shard_index, entry)
+                resumed += 1
+            else:
+                to_compute[config_hash] = cell
 
-    def persist_incrementally(outcome: CellOutcome) -> None:
-        entry = entry_from_outcome(outcome)
-        entries_by_hash[outcome.cell.config_hash] = entry
-        if store is not None:
+        def journal(outcome: CellOutcome) -> None:
+            cell = outcome.cell
+            journaled.add(cell.config_hash)
+            entry = {
+                "config_hash": cell.config_hash,
+                "key": cell.key,
+                "figure": cell.figure,
+                "runner": cell.runner,
+                "params": cell.payload()["params"],
+                # same coercion the cell store applies, so runners returning
+                # numpy scalars serialize on the sharded path too
+                "rows": _jsonable(outcome.rows),
+                "elapsed": outcome.elapsed,
+                "source": outcome.source,
+            }
             store.journal_append(fingerprint, shard_index, entry)
-            return
-        assert journal is not None  # json mode always sets the journal path
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(journal, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps({"plan_hash": fingerprint, "entry": entry}) + "\n")
-        except OSError:
-            pass  # the final artifact write below surfaces persistent failures
 
-    try:
-        result = (
-            run_grid(
-                missing, workers=workers, cache=cache, on_cell_complete=persist_incrementally
-            )
-            if missing
-            else None
+        result = run_grid(
+            list(to_compute.values()), workers=workers, cache=cache, on_cell_complete=journal
         )
-        if result is not None:
-            # cells served by the cache stage never hit the completion hook
-            for outcome in result.outcomes:
-                if outcome.cell.config_hash in entries_by_hash:
-                    continue
-                entry = entry_from_outcome(outcome)
-                entries_by_hash[outcome.cell.config_hash] = entry
-                if store is not None:
-                    store.journal_append(fingerprint, shard_index, entry)
-
-        if store is None:
-            assert journal is not None  # json mode always sets the journal path
-            _write_json_atomic(path, artifact_payload())
-            try:
-                journal.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover - journal cleanup is best-effort
-                pass
-        # sqlite mode writes no artifact: the journal rows ARE the shard's
-        # durable state, already committed per cell as each one finished
-    finally:
-        if store is not None:
-            store.close()
+        # cells served by the cache stage never hit the completion hook
+        for outcome in result.outcomes:
+            if outcome.cell.config_hash not in journaled:
+                journal(outcome)
     return ShardRunResult(
-        path=path,
+        path=store.path,
         plan_hash=fingerprint,
         shards=shards,
         shard_index=shard_index,
         cells=mine,
-        computed=result.computed if result is not None else 0,
+        computed=result.computed,
         resumed=resumed,
-        from_cache=result.from_cache if result is not None else 0,
-        deduplicated=duplicates + (result.deduplicated if result is not None else 0),
-        backend=cache_backend,
+        from_cache=result.from_cache,
+        deduplicated=duplicates + result.deduplicated,
     )
 
 
 # --------------------------------------------------------------------------- #
-# merging partial artifacts
+# merging shard artifacts
 # --------------------------------------------------------------------------- #
 @dataclass
 class MergedShards:
-    """Full-plan rows reassembled from per-shard partial artifacts."""
+    """Full-plan rows reassembled from per-shard artifacts."""
 
     rows: list[dict[str, Any]]
     outcomes: list[CellOutcome]
@@ -559,11 +411,12 @@ class MergedShards:
 
 def merge_artifacts(
     cells: Sequence[GridCell],
-    artifacts: Sequence[str | Path | Mapping[str, Any]],
+    artifacts: Sequence[Mapping[str, Any]],
     *,
     expected_shards: int | None = None,
 ) -> MergedShards:
-    """Merge per-shard partial artifacts into the plan's canonical rows.
+    """Merge per-shard artifacts (see :func:`journal_artifacts`) into the
+    plan's canonical rows.
 
     The merge is keyed by cell config hash and reassembles rows in *plan
     order*, so it is invariant to the order the artifacts are given in and
@@ -581,12 +434,7 @@ def merge_artifacts(
     """
     cells = list(cells)
     fingerprint = plan_fingerprint(cells)
-    loaded = [
-        artifact if isinstance(artifact, Mapping) else load_shard_artifact(artifact)
-        for artifact in artifacts
-    ]
-
-    for artifact in loaded:
+    for artifact in artifacts:
         if str(artifact["plan_hash"]) != fingerprint:
             raise ShardMergeError(
                 f"shard artifact {artifact.get('path', '<in-memory>')} belongs to a "
@@ -596,7 +444,7 @@ def merge_artifacts(
 
     by_hash: dict[str, dict[str, Any]] = {}
     conflicting: list[str] = []
-    for artifact in loaded:
+    for artifact in artifacts:
         for entry in artifact["entries"]:
             config_hash = str(entry["config_hash"])
             if config_hash in by_hash:
@@ -622,8 +470,8 @@ def merge_artifacts(
         ]
         shown = "; ".join(descriptors[:5]) + ("; ..." if len(descriptors) > 5 else "")
         hint = (
-            f" (expected {expected_shards} shard artifacts, loaded {len(loaded)})"
-            if expected_shards is not None and len(loaded) != expected_shards
+            f" (expected {expected_shards} shard artifacts, got {len(artifacts)})"
+            if expected_shards is not None and len(artifacts) != expected_shards
             else ""
         )
         raise ShardMergeError(
@@ -648,7 +496,7 @@ def merge_artifacts(
         rows=rows,
         outcomes=outcomes,
         plan_hash=fingerprint,
-        artifacts=[str(artifact.get("path", "<in-memory>")) for artifact in loaded],
+        artifacts=[str(artifact.get("path", "<in-memory>")) for artifact in artifacts],
     )
 
 
@@ -663,8 +511,8 @@ def _newest_mtime(directory: Path) -> float:
     """Most recent modification time of a workspace or anything inside it.
 
     A concurrent invocation that still owns the workspace keeps appending to
-    its journal / partial artifacts, so *any* fresh file (not just the old
-    ``plan.json``) must protect the whole workspace from the sweep.
+    its journal database (and its WAL file), so *any* fresh file (not just
+    the old ``plan.json``) must protect the whole workspace from the sweep.
     """
     try:
         newest = directory.stat().st_mtime
@@ -691,12 +539,12 @@ def gc_shard_workspaces(
     This sweep removes every workspace directory whose newest content is
     older than ``max_age_seconds`` and **never** touches younger ones — a
     workspace an active concurrent run owns is protected because that run
-    keeps refreshing its journal and partial artifacts.  Returns a JSON-able
+    keeps refreshing its journal.  Returns a JSON-able
     summary naming the removed and kept workspaces.
     """
-    if float(max_age_seconds) < 0:
+    if not 0 <= float(max_age_seconds) < float("inf"):
         raise InvalidParameterError(
-            f"max_age_seconds must be >= 0, got {max_age_seconds}"
+            f"max_age_seconds must be a finite number >= 0, got {max_age_seconds}"
         )
     root = Path(root)
     reference = time.time() if now is None else float(now)
@@ -733,33 +581,27 @@ def _worker_env() -> dict[str, str]:
 
 
 class ShardedExecutor(Executor):
-    """Execute a grid as ``N`` shard invocations and merge their artifacts.
+    """Execute a grid as ``N`` shard invocations and merge their journal.
 
     Each shard runs as a separate ``python -m repro.experiments.shard_worker``
     subprocess (``launch="subprocess"``, the default — the same entrypoint a
-    cluster scheduler would launch per machine) or inline in this process
-    (``launch="inline"``, no interpreter startup cost).  Partial artifacts
-    land under ``directory``, in a per-plan subdirectory named after the
+    batch scheduler would launch) or inline in this process
+    (``launch="inline"``, no interpreter startup cost).  The shard journal
+    lives under ``directory``, in a per-plan subdirectory named after the
     plan fingerprint — so one persistent directory can serve many grids (a
     whole benchmark sweep) and a changed pending-cell set (e.g. after cache
     eviction) starts a fresh workspace instead of colliding with the old
     plan.  Giving a persistent directory makes a run resumable — a
-    re-invocation of the same plan skips every cell whose shard artifact
-    already holds it — while ``None`` uses a temporary directory discarded
-    after the merge.
+    re-invocation of the same plan skips every cell already journaled —
+    while ``None`` uses a temporary directory discarded after the merge.
 
     ``workers`` is the per-shard process-pool size handed to each shard's
     ``run_grid`` call; subprocess shards additionally run concurrently with
-    each other.  ``cache_dir`` hands every shard worker the shared on-disk
-    cell store, so cells computed by the shards that *did* finish survive
-    an interrupted run even without a persistent ``directory`` (matching
-    the in-process executors, which cache per completion).
-    ``cache_backend`` selects the storage layout everywhere at once —
-    worker cell caches *and* the shard journal/artifact layer: ``json``
-    keeps the historical file-per-cell cache plus per-shard artifact files,
-    ``sqlite`` routes both through WAL-mode databases (the cache at
-    ``cache_dir/cells.sqlite``, the journal at the workspace's
-    :data:`SHARD_DB_NAME`).
+    each other.  ``cache_dir`` hands every shard worker the shared cell
+    store (``cache_dir/cells.sqlite``), so cells computed by the shards
+    that *did* finish survive an interrupted run even without a persistent
+    ``directory`` (matching the in-process executors, which cache per
+    completion).
     """
 
     def __init__(
@@ -773,7 +615,6 @@ class ShardedExecutor(Executor):
         cache_dir: "str | Path | None" = None,
         cache_max_entries: int | None = None,
         cache_max_bytes: int | None = None,
-        cache_backend: str = "json",
     ) -> None:
         self.shards = validate_shards(shards)
         if launch not in ("subprocess", "inline"):
@@ -789,7 +630,6 @@ class ShardedExecutor(Executor):
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
         self.cache_max_entries = cache_max_entries
         self.cache_max_bytes = cache_max_bytes
-        self.cache_backend = validate_cache_backend(cache_backend)
 
     @property
     def total_workers(self) -> int:
@@ -819,35 +659,25 @@ class ShardedExecutor(Executor):
                 self.cache_dir,
                 max_entries=self.cache_max_entries,
                 max_bytes=self.cache_max_bytes,
-                cache_backend=self.cache_backend,
             )
-            for shard_index in range(self.shards):
-                run_shard(
-                    cells,
-                    self.shards,
-                    shard_index,
-                    directory,
-                    workers=self.workers,
-                    cache=cache,
-                    cache_backend=self.cache_backend,
-                )
+            try:
+                for shard_index in range(self.shards):
+                    run_shard(
+                        cells,
+                        self.shards,
+                        shard_index,
+                        directory,
+                        workers=self.workers,
+                        cache=cache,
+                    )
+            finally:
+                if cache is not None:
+                    cache.close()
         else:
             self._launch_subprocesses(plan_path, directory)
-        if self.cache_backend == "sqlite":
-            # no per-shard artifact files to find or load: one journal
-            # query reassembles every shard's entries from the workspace DB
-            store = workspace_store(directory)
-            try:
-                artifacts = journal_artifacts(
-                    store, plan_fingerprint(cells), self.shards
-                )
-            finally:
-                store.close()
-        else:
-            artifacts = find_shard_artifacts(directory, self.shards)
         merged = merge_artifacts(
             cells,
-            artifacts,
+            journal_artifacts(directory, plan_fingerprint(cells), self.shards),
             expected_shards=self.shards,
         )
         for (index, _), outcome in zip(tasks, merged.outcomes):
@@ -862,7 +692,7 @@ class ShardedExecutor(Executor):
             and self.cache_max_bytes is None
         ):
             # every merged cell now lives in the (unbounded) shared cell
-            # cache, which makes the partial artifacts redundant — prune the
+            # cache, which makes the shard journal redundant — prune the
             # per-plan workspace so persistent roots do not accumulate one
             # directory per pending-set variant.  Without a cache — or with
             # a bounded one that may evict the cells — the workspace remains
@@ -889,10 +719,6 @@ class ShardedExecutor(Executor):
                 command += ["--cache-max-entries", str(self.cache_max_entries)]
             if self.cache_max_bytes is not None:
                 command += ["--cache-max-bytes", str(self.cache_max_bytes)]
-        if self.cache_backend != "json":
-            # the backend governs the journal/artifact layout too, so it is
-            # passed even without a cache directory
-            command += ["--cache-backend", self.cache_backend]
         return command
 
     def _launch_subprocesses(self, plan_path: Path, directory: Path) -> None:

@@ -3,16 +3,16 @@
 import hashlib
 import json
 
+from repro.experiments import cellstore
 from repro.experiments.cellstore import SQLiteCellStore
-from repro.experiments.grid import GridCache
 
 
-def build_json_cache(directory: str) -> GridCache:
-    return GridCache(directory)  # REPRO401
-
-
-def build_sqlite_store(path: str) -> SQLiteCellStore:
+def build_store(path: str) -> SQLiteCellStore:
     return SQLiteCellStore(path)  # REPRO401
+
+
+def build_store_through_the_module(path: str) -> SQLiteCellStore:
+    return cellstore.SQLiteCellStore(path)  # REPRO401
 
 
 def config_hash(config: dict) -> str:

@@ -7,7 +7,7 @@ from repro.experiments.grid import CellStore
 
 
 def build_cache(directory: str | None):
-    return CellStore.from_options(directory, cache_backend="json")
+    return CellStore.from_options(directory, max_entries=100)
 
 
 def build_store(directory: str | None):

@@ -11,11 +11,12 @@ from repro.core.retry import RetryPolicy
 from repro.exceptions import InvalidParameterError
 from repro.experiments.cellstore import (
     CELLSTORE_SCHEMA_VERSION,
+    LOOKUP_CHUNK,
     SQLiteCellStore,
     _MIGRATIONS,
     _statements,
 )
-from repro.experiments.grid import GridCache, GridCell, cell_runner, run_grid
+from repro.experiments.grid import GridCell, cell_runner, run_grid
 
 
 @cell_runner("_test_store_echo")
@@ -38,9 +39,9 @@ def store(tmp_path):
 
 class TestCellsTable:
     def test_roundtrip(self, store):
-        assert store.get(cell(1)) is None
+        assert store.lookup([cell(1)])[0] is None
         assert store.put(cell(1), [{"value": 1, "draw": 4}], elapsed=0.1) is not None
-        assert store.get(cell(1)) == [{"value": 1, "draw": 4}]
+        assert store.lookup([cell(1)])[0] == [{"value": 1, "draw": 4}]
         assert len(store) == 1
 
     def test_wal_mode_and_schema_version(self, store):
@@ -51,30 +52,29 @@ class TestCellsTable:
         store.put(cell(1), [{"value": 1}], elapsed=0.0)
         store._conn.execute("UPDATE cells SET key = 'tampered'")
         store._conn.commit()
-        assert store.get(cell(1)) is None
+        assert store.lookup([cell(1)])[0] is None
 
     def test_master_seed_mismatch_is_a_miss(self, store):
         store.put(cell(1, seed=42), [{"value": 1}], elapsed=0.0)
         store._conn.execute("UPDATE cells SET master_seed = 7")
         store._conn.commit()
-        assert store.get(cell(1)) is None
+        assert store.lookup([cell(1)])[0] is None
 
     def test_corrupt_rows_payload_is_a_miss(self, store):
         store.put(cell(1), [{"value": 1}], elapsed=0.0)
         store._conn.execute("UPDATE cells SET rows = '{not json'")
         store._conn.commit()
-        assert store.get(cell(1)) is None
+        assert store.lookup([cell(1)])[0] is None
 
     def test_overwrite_keeps_one_entry(self, store):
         store.put(cell(1), [{"value": 1}], elapsed=0.0)
         store.put(cell(1), [{"value": 2}], elapsed=0.0)
         assert len(store) == 1
-        assert store.get(cell(1)) == [{"value": 2}]
+        assert store.lookup([cell(1)])[0] == [{"value": 2}]
 
     def test_stats_shape(self, store):
         store.put(cell(1), [{"value": 1}], elapsed=0.0)
         stats = store.stats()
-        assert stats["backend"] == "sqlite"
         assert stats["entries"] == 1
         assert stats["total_bytes"] > 0
         assert stats["journal_entries"] == 0
@@ -104,15 +104,70 @@ class TestCellsTable:
             SQLiteCellStore.for_directory(tmp_path, max_bytes=0)
 
 
+class TestLookup:
+    """One batched lookup serves a whole plan (step 1 of run_grid)."""
+
+    def test_plan_larger_than_one_chunk_is_served_in_full(self, store):
+        cells = [cell(v) for v in range(2 * LOOKUP_CHUNK + 1)]
+        run_grid(cells, cache=store)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a degraded lookup would warn
+            hits = store.lookup(cells + [cell(-1)])
+        assert hits == [[{"value": v}] for v in range(len(cells))] + [None]
+        warm = run_grid(cells, cache=store)
+        assert warm.from_cache == len(cells) and warm.computed == 0
+
+    def test_mismatched_and_corrupt_entries_miss_while_others_hit(self, store):
+        cells = [cell(v) for v in range(5)]
+        for c in cells:
+            store.put(c, [{"value": c.params["value"]}], elapsed=0.0)
+        tamper = {
+            1: "UPDATE cells SET key = 'tampered' WHERE config_hash = ?",
+            2: "UPDATE cells SET rows = '{not json' WHERE config_hash = ?",
+            3: "UPDATE cells SET master_seed = 7 WHERE config_hash = ?",
+        }
+        for index, statement in tamper.items():
+            store._conn.execute(statement, (cells[index].config_hash,))
+        store._conn.commit()
+        assert store.lookup(cells) == [[{"value": 0}], None, None, None, [{"value": 4}]]
+        # duplicate cells in one plan are each served
+        assert store.lookup([cells[0], cells[0]]) == [[{"value": 0}]] * 2
+
+    def test_one_run_grid_refreshes_every_hit_before_eviction(self, tmp_path):
+        store = SQLiteCellStore.for_directory(tmp_path, max_entries=4)
+        hot, stale = [cell(0), cell(1)], [cell(2), cell(3)]
+        run_grid(hot + stale, cache=store)
+        store._conn.execute("UPDATE cells SET last_used_at = last_used_at - 1000")
+        store._conn.commit()
+        warm = run_grid(hot, cache=store)  # hits refresh last_used_at
+        assert warm.from_cache == 2
+        run_grid([cell(4), cell(5)], cache=store)  # forces two evictions
+        assert store.lookup(hot + stale) == [[{"value": 0}], [{"value": 1}], None, None]
+        store.close()
+
+    def test_failing_connection_degrades_to_all_miss_with_one_warning(self, tmp_path):
+        store = SQLiteCellStore.for_directory(tmp_path)
+        cells = [cell(v) for v in range(4)]
+        run_grid(cells, cache=store)
+        store.close()  # every later query raises sqlite3.ProgrammingError
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_grid(cells, cache=store)
+        reads = [w for w in caught if "cell store read failed" in str(w.message)]
+        assert len(reads) == 1
+        assert result.computed == 4 and result.from_cache == 0
+        assert [row["value"] for row in result.rows] == [0, 1, 2, 3]
+
+
 class TestEviction:
     def test_max_entries_evicts_least_recently_used(self, tmp_path):
         store = SQLiteCellStore.for_directory(tmp_path, max_entries=2)
         store.put(cell(0), [{"value": 0}], elapsed=0.0)  # oldest write...
         store.put(cell(1), [{"value": 1}], elapsed=0.0)
-        assert store.get(cell(0)) is not None  # ...but refreshed: hot
+        assert store.lookup([cell(0)])[0] is not None  # ...but refreshed: hot
         store.put(cell(2), [{"value": 2}], elapsed=0.0)
-        assert store.get(cell(0)) is not None
-        assert store.get(cell(1)) is None  # the stale entry went
+        assert store.lookup([cell(0)])[0] is not None
+        assert store.lookup([cell(1)])[0] is None  # the stale entry went
         assert store.stats()["evicted"] == 1
         store.close()
 
@@ -121,7 +176,7 @@ class TestEviction:
         for value in range(3):
             store.put(cell(value), [{"value": value}], elapsed=0.0)
         assert len(store) == 1
-        assert store.get(cell(2)) is not None
+        assert store.lookup([cell(2)])[0] is not None
         store.close()
 
     def test_max_bytes_bound(self, tmp_path):
@@ -143,6 +198,30 @@ class TestEviction:
             store.put(cell(value), [{"value": value}], elapsed=0.0)
         assert len(store) == 5
         assert store.stats()["evicted"] == 0
+        store.close()
+
+    def test_run_grid_with_bounded_store(self, tmp_path):
+        store = SQLiteCellStore.for_directory(tmp_path, max_entries=2)
+        result = run_grid([cell(v) for v in range(4)], cache=store)
+        assert len(result.rows) == 4
+        assert len(store) <= 2
+        store.close()
+
+    def test_eviction_failure_degrades_to_warning(self, tmp_path, monkeypatch):
+        store = SQLiteCellStore.for_directory(tmp_path, max_entries=1)
+        store.put(cell(0), [{"value": 0}], elapsed=0.0)
+        write = store._retry_write
+
+        def failing_eviction(action, fn):
+            if action == "eviction":
+                raise sqlite3.OperationalError("disk I/O error")
+            return write(action, fn)
+
+        monkeypatch.setattr(store, "_retry_write", failing_eviction)
+        with pytest.warns(RuntimeWarning, match="cell store eviction failed"):
+            assert store.put(cell(1), [{"value": 1}], elapsed=0.0) is not None
+        # both entries are still present (eviction failed), but the run went on
+        assert len(store) == 2
         store.close()
 
 
@@ -184,7 +263,7 @@ class TestMigrations:
         first.put(cell(1), [{"value": 1}], elapsed=0.0)
         first.close()
         second = SQLiteCellStore.for_directory(tmp_path)
-        assert second.get(cell(1)) == [{"value": 1}]
+        assert second.lookup([cell(1)])[0] == [{"value": 1}]
         assert second.schema_version() == CELLSTORE_SCHEMA_VERSION
         second.close()
 
@@ -241,44 +320,6 @@ class TestRunsLedger:
         assert kinds == {"run_shard"}
 
 
-class TestImportJsonCache:
-    def test_imports_entries_and_counts(self, tmp_path):
-        json_cache = GridCache(tmp_path / "cache")
-        cells = [cell(v) for v in range(3)]
-        for value, c in enumerate(cells):
-            json_cache.put(c, [{"value": value}], elapsed=0.0)
-        (tmp_path / "cache" / "garbage.json").write_text("{not json")
-
-        store = SQLiteCellStore.for_directory(tmp_path / "cache")
-        summary = store.import_json_cache(tmp_path / "cache")
-        assert summary["imported"] == 3
-        assert summary["skipped"] == 1
-        for value, c in enumerate(cells):
-            assert store.get(c) == [{"value": value}]
-        # a re-import changes nothing: the database copy wins
-        again = store.import_json_cache(tmp_path / "cache")
-        assert again["imported"] == 0
-        assert again["already_present"] == 3
-        store.close()
-
-    def test_import_preserves_lru_order(self, tmp_path):
-        import os
-        import time
-
-        json_cache = GridCache(tmp_path / "cache")
-        cells = [cell(v) for v in range(3)]
-        for value, c in enumerate(cells):
-            path = json_cache.put(c, [{"value": value}], elapsed=0.0)
-            stamp = time.time() - 1000 + value
-            os.utime(path, (stamp, stamp))
-        store = SQLiteCellStore(tmp_path / "imported.sqlite", max_entries=2)
-        store.import_json_cache(tmp_path / "cache")
-        assert store.get(cells[0]) is None  # the stalest import was evicted
-        assert store.get(cells[1]) is not None
-        assert store.get(cells[2]) is not None
-        store.close()
-
-
 class TestDegradation:
     def test_failures_degrade_to_one_warning_per_category(self, tmp_path):
         # each distinct (action, errno) failure category warns exactly once;
@@ -287,7 +328,7 @@ class TestDegradation:
         store.put(cell(1), [{"value": 1}], elapsed=0.0)
         store.close()  # every later query raises sqlite3.ProgrammingError
         with pytest.warns(RuntimeWarning, match="cell store read failed"):
-            assert store.get(cell(1)) is None
+            assert store.lookup([cell(1)])[0] is None
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             # new categories each warn once...
@@ -304,7 +345,7 @@ class TestDegradation:
         # ...then every repeat degrades silently
         with warnings.catch_warnings(record=True) as repeat:
             warnings.simplefilter("always")
-            assert store.get(cell(1)) is None
+            assert store.lookup([cell(1)])[0] is None
             assert store.put(cell(3), [{"value": 3}], elapsed=0.0) is None
             assert store.journal_entries("plan") == {}
             assert store.runs_ledger() == []
@@ -346,7 +387,7 @@ class TestWriteContention:
             blocker.close()
         # once the co-writer is gone the same store writes normally again
         assert store.put(cell(1), [{"value": 1}], elapsed=0.0) == path
-        assert store.get(cell(1)) == [{"value": 1}]
+        assert store.lookup([cell(1)])[0] == [{"value": 1}]
         store.close()
 
     def test_retry_outlasts_a_transient_lock(self, tmp_path):
@@ -370,6 +411,22 @@ class TestWriteContention:
         finally:
             release.join()
             store.close()
+
+    def test_run_grid_completes_when_writes_fail(self, tmp_path):
+        path = tmp_path / "cells.sqlite"
+        store = SQLiteCellStore(path, busy_timeout_ms=5, retry_policy=self._tiny_policy())
+        blocker = sqlite3.connect(path)
+        try:
+            blocker.execute("BEGIN IMMEDIATE")  # every put finds the DB locked
+            with pytest.warns(RuntimeWarning, match="cell store write failed"):
+                result = run_grid([cell(v) for v in range(3)], cache=store)
+        finally:
+            blocker.rollback()
+            blocker.close()
+        assert result.computed == 3
+        assert [row["value"] for row in result.rows] == [0, 1, 2]
+        assert len(store) == 0
+        store.close()
 
     def test_two_writers_share_one_journal(self, tmp_path):
         path = tmp_path / "cells.sqlite"

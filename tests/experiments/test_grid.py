@@ -1,13 +1,11 @@
 """Unit tests for the experiment-grid engine."""
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.experiments.grid import (
-    GridCache,
+    CellStore,
     GridCell,
     canonical_json,
     cell_runner,
@@ -162,30 +160,7 @@ class TestRunGrid:
         assert sequential.rows == parallel.rows
 
 
-class TestGridCache:
-    def test_roundtrip(self, tmp_path):
-        cache = GridCache(tmp_path / "cache")
-        cell = GridCell(figure="f", runner="_test_echo", params={"value": 1})
-        assert cache.get(cell) is None
-        cache.put(cell, [{"value": 1, "draw": 4}], elapsed=0.1)
-        assert cache.get(cell) == [{"value": 1, "draw": 4}]
-        assert len(cache) == 1
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = GridCache(tmp_path)
-        cell = GridCell(figure="f", runner="_test_echo", params={"value": 1})
-        cache.path_for(cell).write_text("{not json")
-        assert cache.get(cell) is None
-
-    def test_key_mismatch_is_a_miss(self, tmp_path):
-        cache = GridCache(tmp_path)
-        cell = GridCell(figure="f", runner="_test_echo", params={"value": 1})
-        cache.put(cell, [{"value": 1}], elapsed=0.0)
-        entry = json.loads(cache.path_for(cell).read_text())
-        entry["key"] = "tampered"
-        cache.path_for(cell).write_text(json.dumps(entry))
-        assert cache.get(cell) is None
-
+class TestCachedRunGrid:
     def test_run_grid_serves_second_run_from_cache(self, tmp_path):
         cells = [
             GridCell(figure="f", runner="_test_echo", params={"value": v})
@@ -201,174 +176,18 @@ class TestGridCache:
         with pytest.raises(InvalidParameterError):
             run_grid([], cache=123)
 
-    def test_entry_that_is_a_directory_is_a_warned_miss(self, tmp_path):
-        # an EISDIR on open must degrade to a miss, not crash the grid run
-        cache = GridCache(tmp_path)
-        cell = GridCell(figure="f", runner="_test_echo", params={"value": 1})
-        cache.path_for(cell).mkdir()
-        with pytest.warns(RuntimeWarning, match="grid cache read failed"):
-            assert cache.get(cell) is None
-
-    def test_unwritable_cache_degrades_to_warning(self, tmp_path, monkeypatch):
-        import tempfile as tempfile_module
-
-        cache = GridCache(tmp_path)
-        cell = GridCell(figure="f", runner="_test_echo", params={"value": 1})
-
-        def denied(*args, **kwargs):
-            raise PermissionError(13, "read-only cache dir")
-
-        monkeypatch.setattr(tempfile_module, "NamedTemporaryFile", denied)
-        with pytest.warns(RuntimeWarning, match="grid cache write failed"):
-            assert cache.put(cell, [{"value": 1}], elapsed=0.0) is None
-        # warned once only; later failures degrade silently
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            assert cache.put(cell, [{"value": 1}], elapsed=0.0) is None
-        assert caught == []
-
-    def test_distinct_failure_modes_each_warn_once(self, tmp_path, monkeypatch):
-        # Regression: a single boolean guard let the first failure (a read)
-        # permanently suppress warnings about later, differently-caused
-        # failures (a write).  Warn-once is per (action, errno) category.
-        import tempfile as tempfile_module
-        import warnings as warnings_module
-
-        cache = GridCache(tmp_path)
-        cell = GridCell(figure="f", runner="_test_echo", params={"value": 1})
-        cache.path_for(cell).mkdir()  # read will fail with EISDIR
-
-        def no_space(*args, **kwargs):
-            raise OSError(28, "no space left on device")
-
-        monkeypatch.setattr(tempfile_module, "NamedTemporaryFile", no_space)
-        with pytest.warns(RuntimeWarning, match="grid cache read failed"):
-            assert cache.get(cell) is None
-        # the earlier read warning must not swallow the first write warning
-        with pytest.warns(RuntimeWarning, match="grid cache write failed"):
-            assert cache.put(cell, [{"value": 1}], elapsed=0.0) is None
-        # but each category fires exactly once
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            assert cache.get(cell) is None
-            assert cache.put(cell, [{"value": 1}], elapsed=0.0) is None
-        assert caught == []
-
-    def test_same_action_different_errno_warns_again(self, tmp_path, monkeypatch):
-        # two write failures with different causes are different categories
-        import tempfile as tempfile_module
-
-        cache = GridCache(tmp_path)
-        cell = GridCell(figure="f", runner="_test_echo", params={"value": 1})
-
-        def denied(*args, **kwargs):
-            raise PermissionError(13, "read-only cache dir")
-
-        def no_space(*args, **kwargs):
-            raise OSError(28, "no space left on device")
-
-        monkeypatch.setattr(tempfile_module, "NamedTemporaryFile", denied)
-        with pytest.warns(RuntimeWarning, match="read-only cache dir"):
-            assert cache.put(cell, [{"value": 1}], elapsed=0.0) is None
-        monkeypatch.setattr(tempfile_module, "NamedTemporaryFile", no_space)
-        with pytest.warns(RuntimeWarning, match="no space left"):
-            assert cache.put(cell, [{"value": 1}], elapsed=0.0) is None
-
-    def test_run_grid_completes_with_failing_cache(self, tmp_path, monkeypatch):
-        import tempfile as tempfile_module
-
-        def denied(*args, **kwargs):
-            raise PermissionError(13, "read-only cache dir")
-
-        monkeypatch.setattr(tempfile_module, "NamedTemporaryFile", denied)
-        cells = [
-            GridCell(figure="f", runner="_test_echo", params={"value": v})
-            for v in range(3)
-        ]
-        with pytest.warns(RuntimeWarning, match="grid cache write failed"):
-            result = run_grid(cells, cache=tmp_path)
-        assert result.computed == 3
-        assert [row["value"] for row in result.rows] == [0, 1, 2]
-
-    def test_os_replace_failure_degrades_to_warning(self, tmp_path, monkeypatch):
-        import os as os_module
-
-        cache = GridCache(tmp_path)
-        cell = GridCell(figure="f", runner="_test_echo", params={"value": 1})
-
-        def denied(src, dst):
-            raise PermissionError(13, "read-only cache dir")
-
-        monkeypatch.setattr(os_module, "replace", denied)
-        with pytest.warns(RuntimeWarning, match="grid cache write failed"):
-            assert cache.put(cell, [{"value": 1}], elapsed=0.0) is None
-        # the temp file was cleaned up
-        assert list(tmp_path.glob("*.tmp")) == []
-
-    def test_unusable_cache_directory_raises_invalid_parameter(self, tmp_path):
-        blocker = tmp_path / "file"
-        blocker.write_text("not a directory")
-        with pytest.raises(InvalidParameterError):
-            GridCache(blocker / "cache")
-
-    def test_entry_write_fsyncs_before_rename(self, tmp_path, monkeypatch):
-        # the crash-atomicity claim requires the temp file's data to be on
-        # disk before os.replace publishes it: without the fsync a power
-        # loss can surface an empty or torn *renamed* entry
-        import os as os_module
-
-        events = []
-        real_fsync, real_replace = os_module.fsync, os_module.replace
-        monkeypatch.setattr(
-            os_module, "fsync", lambda fd: (events.append("fsync"), real_fsync(fd))[1]
-        )
-        monkeypatch.setattr(
-            os_module,
-            "replace",
-            lambda src, dst: (events.append("replace"), real_replace(src, dst))[1],
-        )
-        cache = GridCache(tmp_path)
-        cell = GridCell(figure="f", runner="_test_echo", params={"value": 1})
-        cache.put(cell, [{"value": 1}], elapsed=0.0)
-        assert "fsync" in events and "replace" in events
-        assert events.index("fsync") < events.index("replace")
-        assert cache.get(cell) == [{"value": 1}]
-
-    def test_stats_on_unreadable_directory_degrades_to_warning(
-        self, tmp_path, monkeypatch
-    ):
-        # stats() must follow the documented warned-degrade contract, not
-        # raise where get()/put() would have warned
-        from pathlib import Path
-
-        cache = GridCache(tmp_path)
-        cell = GridCell(figure="f", runner="_test_echo", params={"value": 1})
-        cache.put(cell, [{"value": 1}], elapsed=0.0)
-
-        def denied(self, pattern):
-            raise PermissionError(13, "unreadable cache dir")
-
-        monkeypatch.setattr(Path, "glob", denied)
-        with pytest.warns(RuntimeWarning, match="directory scan"):
-            stats = cache.stats()
-        assert stats["entries"] == 0
-        # __len__ degrades the same way (warned once per instance already)
-        assert len(cache) == 0
-
-    def test_from_options_backend_dispatch(self, tmp_path):
+    def test_from_options_builds_the_sqlite_store(self, tmp_path):
         from repro.experiments.cellstore import SQLiteCellStore
-        from repro.experiments.grid import CellStore
 
         assert CellStore.from_options(None) is None
-        json_cache = CellStore.from_options(tmp_path / "j")
-        assert isinstance(json_cache, GridCache)
-        sqlite_cache = CellStore.from_options(tmp_path / "s", cache_backend="sqlite")
-        assert isinstance(sqlite_cache, SQLiteCellStore)
-        sqlite_cache.close()
-        with pytest.raises(InvalidParameterError):
-            CellStore.from_options(tmp_path, cache_backend="mongodb")
+        with CellStore.from_options(tmp_path / "s", max_entries=3) as store:
+            assert isinstance(store, SQLiteCellStore)
+            assert store.path == tmp_path / "s" / "cells.sqlite"
+            assert store.max_entries == 3
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        with pytest.raises(InvalidParameterError, match="not usable"):
+            CellStore.from_options(blocker / "cache")
 
     def test_summary_shape(self, tmp_path):
         cells = [GridCell(figure="f", runner="_test_echo", params={"value": 1})]
@@ -378,157 +197,3 @@ class TestGridCache:
         assert summary["computed"] == 1
         assert summary["cell_timings"][0]["runner"] == "_test_echo"
         assert summary["cell_timings"][0]["source"] == "computed"
-
-
-class TestGridCacheBounds:
-    def _fill(self, cache, count, start=0):
-        """Insert ``count`` distinct entries with strictly increasing mtimes."""
-        import os
-        import time
-
-        cells = []
-        for index in range(start, start + count):
-            cell = GridCell(figure="f", runner="_test_echo", params={"value": index})
-            path = cache.put(cell, [{"value": index}], elapsed=0.0)
-            # entries created in the same clock tick get explicit mtimes so
-            # "oldest" is well-defined on coarse-mtime filesystems
-            stamp = time.time() - 1000 + index
-            os.utime(path, (stamp, stamp))
-            cells.append(cell)
-        return cells
-
-    def test_max_entries_evicts_oldest_first(self, tmp_path):
-        cache = GridCache(tmp_path, max_entries=3)
-        cells = self._fill(cache, 5)
-        assert len(cache) == 3
-        # the oldest two entries are gone, the newest three survive
-        assert cache.get(cells[0]) is None
-        assert cache.get(cells[1]) is None
-        for cell in cells[2:]:
-            assert cache.get(cell) == [{"value": cell.params["value"]}]
-        assert cache.stats()["evicted"] == 2
-
-    def test_newest_entry_never_evicted(self, tmp_path):
-        cache = GridCache(tmp_path, max_entries=1)
-        cells = self._fill(cache, 3)
-        assert len(cache) == 1
-        assert cache.get(cells[-1]) == [{"value": cells[-1].params["value"]}]
-
-    def test_max_bytes_bound(self, tmp_path):
-        cache = GridCache(tmp_path)
-        probe = cache.put(
-            GridCell(figure="f", runner="_test_echo", params={"value": -1}),
-            [{"value": -1}],
-            elapsed=0.0,
-        )
-        entry_size = probe.stat().st_size
-        bounded = GridCache(tmp_path, max_bytes=3 * entry_size + 3 * 16)
-        self._fill(bounded, 6)
-        stats = bounded.stats()
-        assert stats["total_bytes"] <= bounded.max_bytes
-        assert stats["entries"] < 7
-
-    def test_unbounded_cache_keeps_everything(self, tmp_path):
-        cache = GridCache(tmp_path)
-        self._fill(cache, 5)
-        assert len(cache) == 5
-        assert cache.stats()["evicted"] == 0
-
-    def test_invalid_bounds_rejected(self, tmp_path):
-        with pytest.raises(InvalidParameterError):
-            GridCache(tmp_path, max_entries=0)
-        with pytest.raises(InvalidParameterError):
-            GridCache(tmp_path, max_bytes=0)
-
-    def test_stats_shape(self, tmp_path):
-        cache = GridCache(tmp_path, max_entries=10, max_bytes=10**6)
-        self._fill(cache, 2)
-        stats = cache.stats()
-        assert stats["entries"] == 2
-        assert stats["total_bytes"] > 0
-        assert stats["max_entries"] == 10
-        assert stats["max_bytes"] == 10**6
-        assert stats["evicted"] == 0
-        assert stats["directory"] == str(tmp_path)
-
-    def test_eviction_unlink_failure_degrades_to_warning(self, tmp_path, monkeypatch):
-        from pathlib import Path
-
-        cache = GridCache(tmp_path, max_entries=1)
-        self._fill(cache, 1)
-
-        def failing_unlink(self):
-            raise PermissionError("read-only")
-
-        monkeypatch.setattr(Path, "unlink", failing_unlink)
-        with pytest.warns(RuntimeWarning):
-            self._fill(cache, 1, start=1)
-        # both entries still present (eviction failed), but the run went on
-        assert len(cache) == 2
-
-    def test_repeatedly_read_entry_survives_eviction(self, tmp_path):
-        # LRU, not FIFO-by-write-time: a get() refreshes the entry's
-        # eviction clock, so the hottest entry must outlive a stale one
-        # written after it
-        cache = GridCache(tmp_path, max_entries=2)
-        hot, stale = self._fill(cache, 2)  # hot is the OLDER write
-        assert cache.get(hot) is not None  # the hit refreshes hot's mtime
-        self._fill(cache, 1, start=2)  # a third entry forces one eviction
-        assert cache.get(hot) == [{"value": hot.params["value"]}]
-        assert cache.get(stale) is None
-
-    def test_put_stat_failure_reseeds_both_estimates(self, tmp_path, monkeypatch):
-        # when the fresh entry's size probe fails, put() must rescan instead
-        # of bumping only the count estimate (which let the byte estimate
-        # silently drift below reality)
-        from pathlib import Path
-
-        cell = GridCell(figure="f", runner="_test_echo", params={"value": 1})
-        cache = GridCache(tmp_path, max_bytes=10**6)
-        real_stat = Path.stat
-        flaky = {"remaining": 1}
-
-        def flaky_stat(self, **kwargs):
-            result = real_stat(self, **kwargs)
-            # fail only the post-write size probe (the file exists by then)
-            if flaky["remaining"] and self.name == f"{cell.config_hash}.json":
-                flaky["remaining"] -= 1
-                raise OSError(5, "flaky stat")
-            return result
-
-        monkeypatch.setattr(Path, "stat", flaky_stat)
-        path = cache.put(cell, [{"value": 1}], elapsed=0.0)
-        assert path is not None
-        assert cache._count_estimate == 1
-        assert cache._bytes_estimate == real_stat(path).st_size
-
-    def test_out_of_band_deletions_do_not_evict_spuriously(self, tmp_path):
-        # entries deleted behind the cache's back leave the running
-        # estimates overcounting; the authoritative rescan must correct
-        # them instead of evicting entries that are not actually over-bound
-        cache = GridCache(tmp_path, max_entries=4)
-        cells = self._fill(cache, 3)
-        cache.path_for(cells[0]).unlink()
-        cache.path_for(cells[1]).unlink()
-        self._fill(cache, 2, start=3)  # estimate crosses 4, reality is 3
-        assert len(cache) == 3
-        assert cache.stats()["evicted"] == 0
-        assert cache._count_estimate == 3
-
-    def test_overwrites_do_not_inflate_the_byte_estimate(self, tmp_path):
-        cache = GridCache(tmp_path, max_bytes=10**6)
-        cell = GridCell(figure="f", runner="_test_echo", params={"value": 1})
-        for _ in range(20):
-            path = cache.put(cell, [{"value": 1}], elapsed=0.0)
-        # the running estimate tracks the single file, not 20x its size
-        assert cache._bytes_estimate == path.stat().st_size
-
-    def test_run_grid_with_bounded_cache(self, tmp_path):
-        cache = GridCache(tmp_path, max_entries=2)
-        cells = [
-            GridCell(figure="f", runner="_test_echo", params={"value": v})
-            for v in range(4)
-        ]
-        result = run_grid(cells, cache=cache)
-        assert len(result.rows) == 4
-        assert len(cache) <= 2

@@ -5,7 +5,6 @@ missing-cell report that names the absent configs rather than raising a
 bare ``KeyError``.
 """
 
-import json
 import random
 
 import pytest
@@ -15,12 +14,10 @@ from hypothesis import strategies as st
 from repro.exceptions import ShardMergeError
 from repro.experiments.grid import GridCell, cell_runner, run_grid
 from repro.experiments.sharding import (
-    find_shard_artifacts,
-    load_shard_artifact,
+    journal_artifacts,
     merge_artifacts,
     plan_fingerprint,
     run_shard,
-    shard_artifact_path,
 )
 
 
@@ -33,7 +30,7 @@ def _merge_echo_cell(params, rng):
 def _merge_numpy_cell(params, rng):
     import numpy as np
 
-    # numpy scalars are legal runner output (GridCache coerces them too)
+    # numpy scalars are legal runner output (the cell store coerces them too)
     return [{"value": np.int64(params.get("value", 0)), "acc": np.float64(0.5)}]
 
 
@@ -47,7 +44,7 @@ def _cells(values) -> list[GridCell]:
 def _run_all_shards(cells, shards, directory) -> list:
     for shard_index in range(shards):
         run_shard(cells, shards, shard_index, directory)
-    return find_shard_artifacts(directory, shards)
+    return journal_artifacts(directory, plan_fingerprint(cells), shards)
 
 
 class TestMergeInvariance:
@@ -102,8 +99,8 @@ class TestMergeInvariance:
         assert summary["plan_hash"] == plan_fingerprint(cells)
 
     def test_numpy_scalar_rows_survive_the_sharded_path(self, tmp_path):
-        """Runners returning numpy scalars must serialize in partial
-        artifacts exactly like they do in the GridCache."""
+        """Runners returning numpy scalars must serialize in the shard
+        journal exactly like they do in the cell store."""
         cells = [
             GridCell(figure="f", runner="_test_merge_numpy", params={"value": v})
             for v in range(3)
@@ -119,7 +116,7 @@ class TestMergeInvariance:
         for shard_index in range(2):
             run_shard(cells, 2, shard_index, tmp_path / "shards", cache=cache)
         summary = merge_artifacts(
-            cells, find_shard_artifacts(tmp_path / "shards", 2)
+            cells, journal_artifacts(tmp_path / "shards", plan_fingerprint(cells), 2)
         ).summary()
         assert summary["from_cache"] == 4
         assert summary["computed"] == 0
@@ -129,12 +126,10 @@ class TestDuplicateRejection:
     def test_conflicting_duplicate_cell_rejected(self, tmp_path):
         cells = _cells(range(4))
         artifacts = _run_all_shards(cells, 2, tmp_path)
-        # tamper with one shard's copy of a cell so the duplicate conflicts
-        path = shard_artifact_path(tmp_path, 2, 0)
-        artifact = json.loads(path.read_text())
-        artifact["entries"][0]["rows"] = [{"value": -999, "draw": 0}]
-        forged = shard_artifact_path(tmp_path, 2, 1).with_name("forged.json")
-        forged.write_text(json.dumps({**artifact, "shard_index": 0}))
+        # a second copy of shard 0 whose first cell has different rows
+        entries = [dict(entry) for entry in artifacts[0]["entries"]]
+        entries[0]["rows"] = [{"value": -999, "draw": 0}]
+        forged = {**artifacts[0], "entries": entries, "path": "forged"}
         with pytest.raises(ShardMergeError, match="differing rows") as excinfo:
             merge_artifacts(cells, artifacts + [forged])
         assert excinfo.value.conflicting
@@ -145,7 +140,7 @@ class TestMissingCellReport:
     def test_missing_shard_names_absent_configs(self, tmp_path):
         cells = _cells(range(5))
         run_shard(cells, 2, 0, tmp_path)  # shard 1 never ran
-        artifacts = find_shard_artifacts(tmp_path, 2)
+        artifacts = journal_artifacts(tmp_path, plan_fingerprint(cells), 2)
         try:
             merge_artifacts(cells, artifacts, expected_shards=2)
         except ShardMergeError as exc:
@@ -170,13 +165,3 @@ class TestMissingCellReport:
         artifacts = _run_all_shards(others, 1, tmp_path)
         with pytest.raises(ShardMergeError, match="different plan"):
             merge_artifacts(cells, artifacts)
-
-    def test_structurally_invalid_artifact_rejected(self, tmp_path):
-        cells = _cells(range(2))
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"entries": []}))
-        with pytest.raises(ShardMergeError, match="lacks"):
-            merge_artifacts(cells, [bogus])
-        bogus.write_text("{not json")
-        with pytest.raises(ShardMergeError, match="cannot read"):
-            load_shard_artifact(bogus)

@@ -443,10 +443,12 @@ class TestRemoteExecutorEndToEnd:
     def test_killed_worker_is_recovered_and_artifact_unchanged(self) -> None:
         cells = [cell(v) for v in range(6)]
         serial = run_grid(cells, executor=SerialExecutor())
-        # worker 0 dies holding its 3rd lease; the survivor finishes the grid
+        # worker 0 dies holding its 3rd lease; the survivor finishes the grid.
+        # The survivor reports each cell late, so it cannot take so many cells
+        # that worker 0 never reaches its 3rd lease.
         remote, summaries = run_remote(
             cells,
-            [ChaosConfig(kill_after=2), ChaosConfig()],
+            [ChaosConfig(kill_after=2), ChaosConfig(delay_completion=0.1)],
             lease_timeout=0.5,
         )
         assert remote.rows == serial.rows

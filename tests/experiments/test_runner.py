@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.exceptions import InvalidParameterError
+from repro.experiments.cellstore import SQLiteCellStore
 from repro.experiments.grid import SerialExecutor
 from repro.experiments.runner import (
     available_experiments,
@@ -12,6 +13,12 @@ from repro.experiments.runner import (
     main,
     run_experiment,
 )
+
+
+def _stored(cache_dir) -> dict:
+    """Occupancy of the cell store under ``cache_dir``."""
+    with SQLiteCellStore.for_directory(cache_dir) as store:
+        return store.stats()
 
 
 class TestRegistry:
@@ -91,8 +98,8 @@ class TestCli:
         cache_dir = tmp_path / "cache"
         assert main(["fig1", "--cache-dir", str(cache_dir)]) == 0
         cold = capsys.readouterr().out
-        entries = list(cache_dir.glob("*.json"))
-        assert len(entries) == 10
+        with SQLiteCellStore.for_directory(cache_dir) as store:
+            assert len(store) == 10
         # warm rerun is served entirely from the cache and prints the same table
         assert main(["fig1", "--cache-dir", str(cache_dir)]) == 0
         warm = capsys.readouterr().out
@@ -126,22 +133,21 @@ class TestCliCacheBounds:
     def test_cache_max_entries_caps_the_cache_dir_during_a_sweep(
         self, tmp_path, capsys
     ):
-        """fig1 computes 10 cells; the bounded cache keeps at most 4 files."""
+        """fig1 computes 10 cells; the bounded cache keeps at most 4 entries."""
         cache_dir = tmp_path / "cache"
         assert main(["fig1", "--cache-dir", str(cache_dir), "--cache-max-entries", "4"]) == 0
         capsys.readouterr()
-        assert len(list(cache_dir.glob("*.json"))) <= 4
+        assert _stored(cache_dir)["entries"] <= 4
 
     def test_cache_max_bytes_caps_the_cache_dir_during_a_sweep(self, tmp_path, capsys):
         unbounded = tmp_path / "unbounded"
         assert main(["fig1", "--cache-dir", str(unbounded)]) == 0
         capsys.readouterr()
-        total = sum(path.stat().st_size for path in unbounded.glob("*.json"))
-        budget = total // 3
+        budget = _stored(unbounded)["total_bytes"] // 3
         bounded = tmp_path / "bounded"
         assert main(["fig1", "--cache-dir", str(bounded), "--cache-max-bytes", str(budget)]) == 0
         capsys.readouterr()
-        assert sum(path.stat().st_size for path in bounded.glob("*.json")) <= budget
+        assert 0 < _stored(bounded)["total_bytes"] <= budget
 
     def test_cache_bounds_hold_under_sharded_execution(self, tmp_path, capsys):
         """Shard workers receive the bounds too, so --shards N cannot
@@ -153,7 +159,7 @@ class TestCliCacheBounds:
         )
         assert code == 0
         capsys.readouterr()
-        assert len(list(cache_dir.glob("*.json"))) <= 4
+        assert _stored(cache_dir)["entries"] <= 4
 
     def test_invalid_bound_exits_2(self, tmp_path, capsys):
         # rejected by argparse before any run state is touched
@@ -178,6 +184,10 @@ class TestCliArgumentValidation:
             ("--shard-index", "-1", "non-negative integer"),
             ("--lease-timeout", "0", "positive number"),
             ("--cache-max-entries", "banana", "positive integer"),
+            ("--show-runs", "-1", "positive integer"),
+            ("--show-runs", "0", "positive integer"),
+            ("--gc-max-age", "nan", "finite number"),
+            ("--gc-max-age", "-1", "finite number"),
         ],
     )
     def test_invalid_values_exit_2_naming_the_flag(
@@ -307,28 +317,11 @@ class TestCliRemote:
 
 
 class TestCliCellStore:
-    """--cache-backend, the run ledger and the figure-less maintenance
-    commands (--migrate-cache / --show-runs)."""
-
-    def test_sqlite_backend_round_trip_matches_json(self, tmp_path, capsys):
-        json_dir = tmp_path / "json-cache"
-        assert main(["fig1", "--cache-dir", str(json_dir)]) == 0
-        reference = capsys.readouterr().out
-        cache_dir = tmp_path / "sqlite-cache"
-        args = ["fig1", "--cache-dir", str(cache_dir), "--cache-backend", "sqlite"]
-        assert main(args) == 0
-        cold = capsys.readouterr().out
-        assert cold == reference
-        assert (cache_dir / "cells.sqlite").exists()
-        assert list(cache_dir.glob("*.json")) == []  # no per-cell files
-        # warm rerun is served from the database
-        assert main(args) == 0
-        assert capsys.readouterr().out == cold
+    """The cell store's run ledger and the figure-less --show-runs command."""
 
     def test_sqlite_backend_records_run_ledger(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
-        assert main(["fig1", "--cache-dir", str(cache_dir),
-                     "--cache-backend", "sqlite"]) == 0
+        assert main(["fig1", "--cache-dir", str(cache_dir)]) == 0
         capsys.readouterr()
         assert main(["--cache-dir", str(cache_dir), "--show-runs"]) == 0
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -344,21 +337,18 @@ class TestCliCellStore:
         capsys.readouterr()
         shard_dir = tmp_path / "shards"
         cache_dir = tmp_path / "cache"
-        common = ["fig1", "--cache-dir", str(cache_dir),
-                  "--cache-backend", "sqlite", "--shards", "2",
+        common = ["fig1", "--cache-dir", str(cache_dir), "--shards", "2",
                   "--shard-dir", str(shard_dir)]
         for index in ("0", "1"):
             assert main(common + ["--shard-index", index]) == 0
             summary = json.loads(capsys.readouterr().out)
-            assert summary["backend"] == "sqlite"
+            assert summary["artifact"].endswith("shards.sqlite")
         merged = tmp_path / "merged"
         assert main(common + ["--merge-shards", "--out", str(merged)]) == 0
         capsys.readouterr()
         assert (merged / "fig1" / "rows.json").read_bytes() == (
             reference / "fig1" / "rows.json"
         ).read_bytes()
-        meta = json.loads((merged / "fig1" / "meta.json").read_text())
-        assert meta["cache_backend"] == "sqlite"
         # the ledger saw both shard runs and the merge
         assert main(["--cache-dir", str(cache_dir), "--show-runs"]) == 0
         kinds = [json.loads(line)["kind"]
@@ -366,43 +356,13 @@ class TestCliCellStore:
         assert kinds.count("run_shard") == 2
         assert kinds.count("merge_shards") == 1
 
-    def test_migrate_cache_imports_json_entries(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        assert main(["fig1", "--cache-dir", str(cache_dir)]) == 0
-        capsys.readouterr()
-        assert len(list(cache_dir.glob("*.json"))) == 10
-        assert main(["--cache-dir", str(cache_dir), "--migrate-cache"]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["imported"] == 10
-        assert summary["skipped"] == 0
-        # the migrated store now serves a warm sqlite run
-        assert main(["fig1", "--cache-dir", str(cache_dir),
-                     "--cache-backend", "sqlite"]) == 0
-        capsys.readouterr()
-
-    def test_migrate_cache_is_idempotent(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        assert main(["fig1", "--cache-dir", str(cache_dir)]) == 0
-        capsys.readouterr()
-        assert main(["--cache-dir", str(cache_dir), "--migrate-cache"]) == 0
-        capsys.readouterr()
-        assert main(["--cache-dir", str(cache_dir), "--migrate-cache"]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["imported"] == 0
-        assert summary["already_present"] == 10
-
     def test_show_runs_limit(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         for _ in range(3):
-            assert main(["fig1", "--cache-dir", str(cache_dir),
-                         "--cache-backend", "sqlite"]) == 0
+            assert main(["fig1", "--cache-dir", str(cache_dir)]) == 0
             capsys.readouterr()
         assert main(["--cache-dir", str(cache_dir), "--show-runs", "2"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
-
-    def test_invalid_backend_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fig1", "--cache-backend", "mongodb"])
 
     def test_figure_required_without_maintenance_flags(self, capsys):
         with pytest.raises(SystemExit):
@@ -410,11 +370,11 @@ class TestCliCellStore:
 
     def test_maintenance_flags_reject_figure(self, capsys):
         with pytest.raises(SystemExit):
-            main(["fig1", "--migrate-cache"])
+            main(["fig1", "--show-runs"])
 
     def test_maintenance_flags_reject_no_cache(self, capsys):
         with pytest.raises(SystemExit):
-            main(["--no-cache", "--migrate-cache"])
+            main(["--no-cache", "--show-runs"])
 
     def test_maintenance_flags_reject_sharding_flags(self, capsys):
         for extra in (["--merge-shards"], ["--shard-index", "0"],
@@ -426,26 +386,9 @@ class TestCliCellStore:
 
     def test_maintenance_flags_reject_out(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["--migrate-cache", "--out", str(tmp_path / "figs")])
+            main(["--show-runs", "--out", str(tmp_path / "figs")])
         assert excinfo.value.code == 2
         assert "--out" in capsys.readouterr().err
-
-    def test_maintenance_flags_reject_json_backend(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--show-runs", "--cache-backend", "json"])
-        assert excinfo.value.code == 2
-        assert "SQLite" in capsys.readouterr().err
-
-    def test_maintenance_flags_accept_explicit_sqlite_backend(
-        self, tmp_path, capsys
-    ):
-        # redundant but consistent: maintenance targets the sqlite store anyway
-        cache_dir = tmp_path / "cache"
-        assert main(["fig1", "--cache-dir", str(cache_dir),
-                     "--cache-backend", "sqlite"]) == 0
-        capsys.readouterr()
-        assert main(["--cache-dir", str(cache_dir), "--cache-backend", "sqlite",
-                     "--show-runs"]) == 0
 
     def test_no_cache_rejects_cache_bounds(self, capsys):
         for bound in (["--cache-max-entries", "4"],
@@ -557,7 +500,7 @@ class TestCliService:
             ["--serve", "127.0.0.1:0", "--attribute", "a:GRR:4:1.0",
              "--remote-workers", "1"],
             ["--serve", "127.0.0.1:0", "--attribute", "a:GRR:4:1.0",
-             "--migrate-cache"],
+             "--show-runs"],
             ["--serve", "127.0.0.1:0", "--attribute", "a:GRR:4:1.0",
              "--out", "x"],
             ["--window", "tumbling:5"],  # server knobs without --serve

@@ -52,10 +52,10 @@ class TestGcShardWorkspaces:
             tmp_path,
             "cccc2222",
             age_seconds=10 * HOUR,
-            files=("plan.json", "shard-0000-of-0002.json"),
+            files=("plan.json", "shards.sqlite"),
         )
-        journal = workspace / "shard-0001-of-0002.json.journal.jsonl"
-        journal.write_text('{"plan_hash": "x", "entry": {}}\n')  # fresh mtime
+        journal = workspace / "shards.sqlite-wal"
+        journal.write_bytes(b"\0" * 32)  # fresh mtime: an append in flight
         summary = gc_shard_workspaces(tmp_path, max_age_seconds=HOUR)
         assert summary["removed"] == []
         assert summary["kept"] == ["cccc2222"]
@@ -79,6 +79,11 @@ class TestGcShardWorkspaces:
         with pytest.raises(InvalidParameterError):
             gc_shard_workspaces(tmp_path, max_age_seconds=-1.0)
 
+    @pytest.mark.parametrize("age", [float("nan"), float("inf")])
+    def test_non_finite_max_age_rejected(self, tmp_path, age):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            gc_shard_workspaces(tmp_path, max_age_seconds=age)
+
 
 class TestCliGcShards:
     def test_gc_sweeps_the_shard_root_and_prints_a_summary(self, tmp_path, capsys):
@@ -98,7 +103,7 @@ class TestCliGcShards:
         """CLI-level near-miss: stale plan, fresh journal — workspace kept."""
         root = tmp_path / "shards"
         workspace = _make_workspace(root, "cccc2222", age_seconds=10 * HOUR)
-        (workspace / "journal.jsonl").write_text("{}\n")  # concurrent owner
+        (workspace / "shards.sqlite-wal").write_bytes(b"\0")  # concurrent owner
         code = main(
             ["fig1", "--gc-shards", "--shard-dir", str(root), "--gc-max-age", "3600"]
         )
@@ -122,8 +127,19 @@ class TestCliGcShards:
             main(["fig1", "--gc-shards", "--shards", "4"])
 
     def test_gc_rejects_negative_age_with_exit_2(self, tmp_path, capsys):
-        code = main(
-            ["fig1", "--gc-shards", "--shard-dir", str(tmp_path), "--gc-max-age", "-5"]
-        )
-        assert code == 2
-        assert "max_age" in capsys.readouterr().err
+        # rejected by argparse before the sweep touches anything
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig1", "--gc-shards", "--shard-dir", str(tmp_path), "--gc-max-age", "-5"])
+        assert excinfo.value.code == 2
+        assert "--gc-max-age" in capsys.readouterr().err
+
+    def test_gc_rejects_nan_age_with_exit_2(self, tmp_path, capsys):
+        # NaN compares false against every age: the sweep would keep
+        # everything and print a summary that is not valid JSON
+        old = _make_workspace(tmp_path, "aaaa0000", age_seconds=10 * HOUR)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig1", "--gc-shards", "--shard-dir", str(tmp_path), "--gc-max-age", "nan"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--gc-max-age" in err and "finite" in err
+        assert old.exists()
