@@ -5,6 +5,7 @@ import sqlite3
 import threading
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.core.retry import RetryPolicy
@@ -103,6 +104,33 @@ class TestCellsTable:
         with pytest.raises(InvalidParameterError):
             SQLiteCellStore.for_directory(tmp_path, max_bytes=0)
 
+    def test_file_that_is_not_a_database_raises_invalid_parameter(self, tmp_path):
+        path = tmp_path / "cells.sqlite"
+        path.write_bytes(b"not a database" * 100)
+        with pytest.raises(InvalidParameterError, match="not usable"):
+            SQLiteCellStore(path)
+
+    def test_numpy_rows_are_stored_as_plain_json(self, store):
+        rows = [{"value": np.int64(3), "acc": np.float64(0.5), "xs": np.arange(2)}]
+        store.put(cell(1), rows, elapsed=0.0)
+        served = store.lookup([cell(1)])[0]
+        assert served == [{"value": 3, "acc": 0.5, "xs": [0, 1]}]
+        assert type(served[0]["value"]) is int
+        assert type(served[0]["acc"]) is float
+
+    def test_second_connection_sees_committed_puts(self, tmp_path):
+        first = SQLiteCellStore.for_directory(tmp_path)
+        second = SQLiteCellStore.for_directory(tmp_path)
+        try:
+            first.put(cell(1), [{"value": 1}], elapsed=0.0)
+            assert second.lookup([cell(1)])[0] == [{"value": 1}]
+            second.put(cell(2), [{"value": 2}], elapsed=0.0)
+            assert first.lookup([cell(2)])[0] == [{"value": 2}]
+            assert first.stats()["entries"] == second.stats()["entries"] == 2
+        finally:
+            first.close()
+            second.close()
+
 
 class TestLookup:
     """One batched lookup serves a whole plan (step 1 of run_grid)."""
@@ -144,6 +172,64 @@ class TestLookup:
         run_grid([cell(4), cell(5)], cache=store)  # forces two evictions
         assert store.lookup(hot + stale) == [[{"value": 0}], [{"value": 1}], None, None]
         store.close()
+
+    @pytest.mark.parametrize("size", [1, LOOKUP_CHUNK, LOOKUP_CHUNK + 1])
+    def test_one_select_per_chunk_serves_every_cell(self, store, size):
+        cells = [cell(v) for v in range(size)]
+        for c in cells:
+            store.put(c, [{"value": c.params["value"]}], elapsed=0.0)
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        hits = store.lookup(cells)
+        store._conn.set_trace_callback(None)
+        assert hits == [[{"value": v}] for v in range(size)]
+        selects = [s for s in statements if s.startswith("SELECT")]
+        assert len(selects) == -(-size // LOOKUP_CHUNK)
+        # every hit is refreshed inside a single write transaction
+        assert statements.count("BEGIN ") == 1
+        assert sum(s.startswith("UPDATE") for s in statements) == size
+
+    def test_empty_plan_runs_no_statement(self, store):
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        assert store.lookup([]) == []
+        assert run_grid([], cache=store).n_cells == 0
+        assert statements == []
+
+    def test_only_served_entries_are_refreshed(self, store):
+        cells = [cell(v) for v in range(3)]
+        for c in cells:
+            store.put(c, [{"value": c.params["value"]}], elapsed=0.0)
+        store._conn.execute("UPDATE cells SET last_used_at = 0")
+        store._conn.execute(
+            "UPDATE cells SET key = 'tampered' WHERE config_hash = ?",
+            (cells[1].config_hash,),
+        )
+        store._conn.commit()
+        store.lookup(cells[:2])  # cells[1] misses, cells[2] is not asked for
+        last_used = dict(
+            store._conn.execute("SELECT config_hash, last_used_at FROM cells")
+        )
+        assert last_used[cells[0].config_hash] > 0
+        assert last_used[cells[1].config_hash] == 0
+        assert last_used[cells[2].config_hash] == 0
+
+    def test_locked_database_still_serves_hits_without_warning(self, tmp_path):
+        # the LRU refresh is best-effort: a co-writer holding the write lock
+        # must not turn a readable hit into a miss (WAL readers never block)
+        path = tmp_path / "cells.sqlite"
+        store = SQLiteCellStore(path, busy_timeout_ms=5)
+        store.put(cell(1), [{"value": 1}], elapsed=0.0)
+        blocker = sqlite3.connect(path)
+        try:
+            blocker.execute("BEGIN IMMEDIATE")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert store.lookup([cell(1), cell(2)]) == [[{"value": 1}], None]
+        finally:
+            blocker.rollback()
+            blocker.close()
+            store.close()
 
     def test_failing_connection_degrades_to_all_miss_with_one_warning(self, tmp_path):
         store = SQLiteCellStore.for_directory(tmp_path)
@@ -198,6 +284,74 @@ class TestEviction:
             store.put(cell(value), [{"value": value}], elapsed=0.0)
         assert len(store) == 5
         assert store.stats()["evicted"] == 0
+        store.close()
+
+    def test_ties_in_last_use_evict_in_write_order(self, tmp_path):
+        store = SQLiteCellStore.for_directory(tmp_path, max_entries=3)
+        cells = [cell(v) for v in range(5)]
+        for c in cells[:3]:
+            store.put(c, [{"value": c.params["value"]}], elapsed=0.0)
+        store._conn.execute("UPDATE cells SET last_used_at = 0")  # all tied
+        store._conn.commit()
+        for c in cells[3:]:
+            store.put(c, [{"value": c.params["value"]}], elapsed=0.0)
+        assert store.lookup(cells) == [None, None, [{"value": 2}], [{"value": 3}], [{"value": 4}]]
+        assert store.stats()["evicted"] == 2
+        store.close()
+
+    def test_entry_larger_than_max_bytes_is_kept_alone(self, tmp_path):
+        store = SQLiteCellStore.for_directory(tmp_path, max_bytes=1)
+        store.put(cell(0), [{"value": 0}], elapsed=0.0)
+        assert len(store) == 1  # the entry just written is never evicted
+        store.put(cell(1), [{"value": 1}], elapsed=0.0)
+        assert store.lookup([cell(0), cell(1)]) == [None, [{"value": 1}]]
+        assert store.stats()["evicted"] == 1
+        store.close()
+
+    def test_overwrites_do_not_inflate_the_byte_total(self, tmp_path):
+        probe = SQLiteCellStore.for_directory(tmp_path / "probe")
+        probe.put(cell(1), [{"value": 1}], elapsed=0.0)
+        entry_size = probe.stats()["total_bytes"]
+        probe.close()
+        store = SQLiteCellStore.for_directory(tmp_path, max_bytes=2 * entry_size)
+        store.put(cell(0), [{"value": 0}], elapsed=0.0)
+        for _ in range(20):
+            store.put(cell(1), [{"value": 1}], elapsed=0.0)
+        stats = store.stats()
+        assert stats["entries"] == 2 and stats["evicted"] == 0
+        assert stats["total_bytes"] == 2 * entry_size
+        store.close()
+
+    def test_out_of_band_deletions_do_not_evict_spuriously(self, tmp_path):
+        # the bound check counts the table itself, so rows deleted behind
+        # the store's back free their room instead of leaving it overcounted
+        store = SQLiteCellStore.for_directory(tmp_path, max_entries=4)
+        for value in range(3):
+            store.put(cell(value), [{"value": value}], elapsed=0.0)
+        other = sqlite3.connect(store.path)
+        with other:
+            other.execute(
+                "DELETE FROM cells WHERE config_hash IN (?, ?)",
+                (cell(0).config_hash, cell(1).config_hash),
+            )
+        other.close()
+        for value in range(3, 5):
+            store.put(cell(value), [{"value": value}], elapsed=0.0)
+        assert len(store) == 3
+        assert store.stats()["evicted"] == 0
+        store.close()
+
+    def test_stats_report_the_bounds(self, tmp_path):
+        store = SQLiteCellStore.for_directory(tmp_path, max_entries=10, max_bytes=10**6)
+        for value in range(2):
+            store.put(cell(value), [{"value": value}], elapsed=0.0)
+        stats = store.stats()
+        assert stats["entries"] == 2
+        assert stats["max_entries"] == 10
+        assert stats["max_bytes"] == 10**6
+        assert stats["evicted"] == 0
+        assert stats["directory"] == str(tmp_path)
+        assert stats["path"] == str(tmp_path / "cells.sqlite")
         store.close()
 
     def test_run_grid_with_bounded_store(self, tmp_path):

@@ -380,6 +380,54 @@ class TestSqliteBackend:
         other = run_shard(cells, 2, 1, tmp_path)
         assert other.resumed == other.cells
 
+    def test_two_plans_share_one_workspace_journal(self, tmp_path):
+        """Journal rows are keyed by plan fingerprint: a second plan in the
+        same directory neither resumes nor disturbs the first one's cells,
+        even where the two plans share cells."""
+        small, large = _echo_cells(4), _echo_cells(5)  # large extends small
+        run_shard(small, 2, 0, tmp_path)
+        other = run_shard(large, 2, 0, tmp_path)
+        assert other.computed == other.cells and other.resumed == 0
+        for cells in (small, large):
+            run_shard(cells, 2, 1, tmp_path)
+            artifacts = journal_artifacts(tmp_path, plan_fingerprint(cells), 2)
+            assert sum(len(a["entries"]) for a in artifacts) == len(cells)
+            merged = merge_artifacts(cells, artifacts, expected_shards=2)
+            assert _canonical(merged.rows) == _canonical(run_grid(cells).rows)
+
+    def test_undecodable_journal_row_is_recomputed(self, tmp_path):
+        cells = _echo_cells(4)
+        run_shard(cells, 1, 0, tmp_path)
+        with workspace_store(tmp_path) as store:
+            store._conn.execute(
+                "UPDATE shard_journal SET entry = '{torn' WHERE config_hash = ?",
+                (cells[2].config_hash,),
+            )
+            store._conn.commit()
+        resumed = run_shard(cells, 1, 0, tmp_path)
+        assert resumed.resumed == 3 and resumed.computed == 1
+        merged = merge_artifacts(
+            cells, journal_artifacts(tmp_path, plan_fingerprint(cells), 1)
+        )
+        assert _canonical(merged.rows) == _canonical(run_grid(cells).rows)
+
+    def test_resumed_entries_keep_the_original_rows(self, tmp_path):
+        cells = _echo_cells(4)
+        run_shard(cells, 1, 0, tmp_path)
+        fingerprint = plan_fingerprint(cells)
+        with workspace_store(tmp_path) as store:
+            original = store.journal_entries(fingerprint)
+        resumed = run_shard(cells, 1, 0, tmp_path)
+        assert resumed.resumed == 4 and resumed.computed == 0
+        with workspace_store(tmp_path) as store:
+            restored = store.journal_entries(fingerprint)
+        assert set(restored) == set(original)
+        for config_hash, entry in restored.items():
+            assert entry["source"] == "resumed"
+            assert entry["rows"] == original[config_hash]["rows"]
+        merged = merge_artifacts(cells, journal_artifacts(tmp_path, fingerprint, 1))
+        assert merged.summary()["resumed"] == 4
+
     def test_inline_sharded_executor_sqlite(self, tmp_path):
         cells = _echo_cells(5)
         result = run_grid(
@@ -423,6 +471,60 @@ class TestCachedParity:
             executor=ShardedExecutor(2, launch="inline", directory=tmp_path / "shards"),
         )
         assert _canonical(sharded.rows) == _canonical(fig2_serial_rows)
+
+
+def _no_pool(**kwargs):
+    raise AssertionError("a pool was started although it cannot help")
+
+
+@pytest.mark.parametrize("pool_executor", [ProcessPoolExecutor, ThreadedExecutor])
+class TestPoolExecutor:
+    """The process and thread executors share one pool-driving body."""
+
+    @pytest.mark.parametrize(("workers", "n_tasks"), [(1, 3), (4, 1), (4, 0)])
+    def test_no_pool_when_it_cannot_help(self, pool_executor, workers, n_tasks):
+        executor = pool_executor(workers=workers)
+        executor.pool_class = _no_pool
+        recorded = {}
+        tasks = list(enumerate(_echo_cells(n_tasks)))
+        executor.execute(tasks, lambda index, rows, *_: recorded.update({index: rows}))
+        serial = {}
+        SerialExecutor().execute(tasks, lambda index, rows, *_: serial.update({index: rows}))
+        assert recorded == serial and len(recorded) == n_tasks
+
+    def test_pool_size_is_capped_by_the_task_count(self, pool_executor):
+        executor = pool_executor(workers=8)
+        sizes = []
+
+        def sized_pool(max_workers):
+            sizes.append(max_workers)
+            return pool_executor.pool_class(max_workers=max_workers)
+
+        executor.pool_class = sized_pool
+        recorded = {}
+        executor.execute(
+            list(enumerate(_echo_cells(3))),
+            lambda index, rows, elapsed, source: recorded.update({index: source}),
+        )
+        assert sizes == [3]
+        assert recorded == {0: "computed", 1: "computed", 2: "computed"}
+
+    def test_pool_records_every_survivor_before_raising(self, pool_executor):
+        tasks = list(enumerate(_echo_cells(4))) + [
+            (4, GridCell(figure="f", runner="_test_exec_boom", params={}, master_seed=3))
+        ]
+        recorded = []
+        with pytest.raises(RuntimeError, match="cell exploded"):
+            pool_executor(workers=2).execute(
+                tasks, lambda index, *_: recorded.append(index)
+            )
+        assert sorted(recorded) == [0, 1, 2, 3]
+
+    def test_summary_names_the_executor(self, pool_executor):
+        result = run_grid(_echo_cells(3), executor=pool_executor(workers=2))
+        assert result.summary()["executor"] == pool_executor.__name__
+        assert result.summary()["workers"] == 2
+        assert result.computed == 3
 
 
 class TestExecutorSeam:

@@ -189,6 +189,62 @@ class TestCachedRunGrid:
         with pytest.raises(InvalidParameterError, match="not usable"):
             CellStore.from_options(blocker / "cache")
 
+    def test_one_lookup_per_run_and_one_put_per_computed_cell(self, tmp_path):
+        from repro.experiments.cellstore import SQLiteCellStore
+
+        class CountingStore(SQLiteCellStore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.lookups: list[int] = []
+                self.puts: list[str] = []
+
+            def lookup(self, cells):
+                self.lookups.append(len(cells))
+                return super().lookup(cells)
+
+            def put(self, cell, rows, elapsed):
+                self.puts.append(cell.config_hash)
+                return super().put(cell, rows, elapsed)
+
+        cells = [
+            GridCell(figure="f", runner="_test_echo", params={"value": v})
+            for v in (0, 1, 2, 3, 1)
+        ]
+        with CountingStore.for_directory(tmp_path) as store:
+            run_grid(cells[:1], cache=store)  # warm one cell
+            store.lookups.clear()
+            store.puts.clear()
+            result = run_grid(cells, cache=store)
+            assert store.lookups == [5]  # the whole plan, in one call
+            assert result.from_cache == 1
+            assert result.deduplicated == 1
+            assert result.computed == 3
+            assert sorted(store.puts) == sorted(c.config_hash for c in cells[1:4])
+
+    def test_partially_warm_plan_computes_only_the_misses(self, tmp_path):
+        cells = [
+            GridCell(figure="f", runner="_test_echo", params={"value": v})
+            for v in range(4)
+        ]
+        cold = run_grid(cells)
+        run_grid([cells[1], cells[3]], cache=tmp_path)
+        seen = []
+        warm = run_grid(cells, cache=tmp_path, on_cell_complete=seen.append)
+        assert [o.source for o in warm.outcomes] == ["computed", "cache", "computed", "cache"]
+        assert warm.rows == cold.rows  # plan order, whatever the source
+        # the completion hook observes computed cells only, never cache hits
+        assert sorted(o.cell.params["value"] for o in seen) == [0, 2]
+        assert {o.source for o in seen} == {"computed"}
+
+    def test_duplicates_of_a_cached_cell_are_all_served(self, tmp_path):
+        a = GridCell(figure="a", runner="_test_echo", params={"value": 1})
+        b = GridCell(figure="b", runner="_test_echo", params={"value": 2})
+        run_grid([a], cache=tmp_path)
+        twin = GridCell(figure="twin", runner="_test_echo", params={"value": 1})
+        result = run_grid([a, twin, b], cache=tmp_path)
+        assert [o.source for o in result.outcomes] == ["cache", "cache", "computed"]
+        assert result.rows[0] == result.rows[1]
+
     def test_summary_shape(self, tmp_path):
         cells = [GridCell(figure="f", runner="_test_echo", params={"value": 1})]
         result = run_grid(cells, cache=tmp_path)

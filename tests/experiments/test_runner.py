@@ -188,6 +188,9 @@ class TestCliArgumentValidation:
             ("--show-runs", "0", "positive integer"),
             ("--gc-max-age", "nan", "finite number"),
             ("--gc-max-age", "-1", "finite number"),
+            ("--gc-max-age", "inf", "finite number"),
+            ("--gc-max-age", "soon", "finite number"),
+            ("--show-runs", "all", "positive integer"),
         ],
     )
     def test_invalid_values_exit_2_naming_the_flag(
@@ -363,6 +366,16 @@ class TestCliCellStore:
             capsys.readouterr()
         assert main(["--cache-dir", str(cache_dir), "--show-runs", "2"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
+
+    def test_show_runs_one_prints_only_the_newest_entry(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        for figure in ("fig1", "fig1", "fig5"):
+            argv = [figure, "--cache-dir", str(cache_dir)]
+            assert main(argv + (["--quick"] if figure == "fig5" else [])) == 0
+            capsys.readouterr()
+        assert main(["--cache-dir", str(cache_dir), "--show-runs", "1"]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [entry["figure"] for entry in lines] == ["fig5"]
 
     def test_figure_required_without_maintenance_flags(self, capsys):
         with pytest.raises(SystemExit):

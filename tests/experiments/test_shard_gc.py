@@ -143,3 +143,21 @@ class TestCliGcShards:
         err = capsys.readouterr().err
         assert "--gc-max-age" in err and "finite" in err
         assert old.exists()
+
+    def test_gc_zero_age_sweeps_every_idle_workspace_as_strict_json(
+        self, tmp_path, capsys
+    ):
+        # 0 is the smallest accepted age; the summary must parse as strict
+        # JSON (no NaN/Infinity constants)
+        _make_workspace(tmp_path, "aaaa0000", age_seconds=HOUR)
+        _make_workspace(tmp_path, "bbbb1111", age_seconds=10 * HOUR)
+        code = main(["fig1", "--gc-shards", "--shard-dir", str(tmp_path), "--gc-max-age", "0"])
+        assert code == 0
+
+        def reject_constant(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        summary = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert summary["max_age_seconds"] == 0.0
+        assert summary["removed"] == ["aaaa0000", "bbbb1111"]
+        assert summary["kept"] == []
