@@ -10,9 +10,9 @@ paths are measured at ``k = 100``:
   accumulator path as HTTP traffic (``CollectionService.ingest_local``),
   isolating the server-side fold from transport cost; this is the
   sustained-throughput acceptance gate (>= 1e5 reports/second);
-* **HTTP loopback** — the full wire path (JSON over a loopback socket,
-  bounded queue, applier thread) with duplicates and a forced 429, as CI
-  runs it.
+* **HTTP loopback** — the full wire path (binary report bodies over a
+  loopback socket, bounded queue, applier thread) with duplicates and a
+  forced 429, as CI runs it.
 
 Both paths end with the parity gate: the service's snapshot estimate must be
 **byte-identical** to a one-shot ``aggregate`` over the de-duplicated report
@@ -115,7 +115,7 @@ def bench_in_process(users: int, batch_size: int) -> dict:
 
 
 def bench_http(users: int, batch_size: int) -> dict:
-    """Full wire path: JSON loopback, bounded queue, duplicates, forced 429."""
+    """Full wire path: binary loopback, bounded queue, duplicates, forced 429."""
     service = CollectionService(window="cumulative", queue_size=128)
     service.start()
     try:

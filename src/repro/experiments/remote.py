@@ -59,6 +59,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
+from ..core.http import RequestBodyError, open_body
 from ..core.retry import RetryPolicy, retry_call
 from ..exceptions import GridExecutionError, InvalidParameterError
 from .grid import Executor, GridCell, RecordFn, _execute_payload, canonical_json
@@ -617,8 +618,7 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b"{}"
+        raw = open_body(self).read_all()
         payload = json.loads(raw.decode("utf-8")) if raw else {}
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
@@ -639,7 +639,10 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
         now = self.server.clock()
         try:
             request = self._read_json()
-        except (ValueError, UnicodeDecodeError) as exc:
+        except RequestBodyError as exc:
+            self._reply({"error": str(exc)}, code=exc.status)
+            return
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
             self._reply({"error": f"bad request: {exc}"}, code=400)
             return
         if self.path == "/register":

@@ -765,10 +765,11 @@ def _service_main(
         )
         for spec in args.attribute:
             service.registry.register(**parse_attribute_spec(spec))
-    except InvalidParameterError as exc:
+        service.start()
+    except (InvalidParameterError, OSError) as exc:  # OSError: cannot bind
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with service:
+    try:
         print(f"collection service listening on {service.url}", flush=True)
         if stop is not None:
             stop()
@@ -779,6 +780,8 @@ def _service_main(
                 threading.Event().wait()
             except KeyboardInterrupt:
                 print("shutting down", file=sys.stderr)
+    finally:
+        service.stop()
     return 0
 
 

@@ -12,9 +12,12 @@ of users.  This package turns the O(k) streaming accumulators of
   (mirroring the remote executor's coordinator) that ingests report batches
   for many attributes concurrently through a bounded backpressure queue and
   serves snapshot-on-read estimates;
-* :mod:`repro.service.client` — the matching JSON client with
+* :mod:`repro.service.client` — the matching HTTP client with
   ``Retry-After``-honouring backoff, plus a synthetic load generator with
-  population churn and non-stationary value distributions.
+  population churn and non-stationary value distributions;
+* :mod:`repro.service.wire` — the binary ``/report`` body (a JSON header and
+  little-endian array bytes, UE bit rows packed) that client and server
+  share.
 
 Estimates served by a cumulative-window collector are byte-identical to a
 one-shot ``aggregate`` over the de-duplicated report stream: support counts

@@ -5,8 +5,9 @@
     --window sliding:60x4``
 
 The process serves until interrupted; ``GET /stats`` is the live health
-view.  The same flags are reachable through the main CLI as
-``python -m repro.experiments.runner --serve ...``.
+view.  A bad flag value, or an address that cannot be bound, prints one
+``error:`` line and exits 2.  The same flags are reachable through the main
+CLI as ``python -m repro.experiments.runner --serve ...``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 import threading
 from typing import Sequence
 
+from ..exceptions import InvalidParameterError
 from ..experiments.remote import parse_listen
 from .server import CollectionService, parse_attribute_spec
 
@@ -53,21 +55,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "Sequence[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
-    service = CollectionService(
-        listen=parse_listen(args.listen),
-        window=args.window,
-        queue_size=args.queue_size,
-    )
-    for spec in args.attribute:
-        service.registry.register(**parse_attribute_spec(spec))
-    with service:
+    try:
+        service = CollectionService(
+            listen=parse_listen(args.listen),
+            window=args.window,
+            queue_size=args.queue_size,
+        )
+        for spec in args.attribute:
+            service.registry.register(**parse_attribute_spec(spec))
+        service.start()
+    except (InvalidParameterError, OSError) as exc:  # OSError: cannot bind
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         print(f"collection service listening on {service.url}", flush=True)
         for name in service.registry.attributes():
             print(f"  attribute {name}: {service.registry.get(name).stats()}", flush=True)
-        try:
-            threading.Event().wait()  # serve until interrupted
-        except KeyboardInterrupt:
-            print("shutting down", flush=True)
+        threading.Event().wait()  # serve until interrupted
+    except KeyboardInterrupt:
+        print("shutting down", flush=True)
+    finally:
+        service.stop()
     return 0
 
 

@@ -1,9 +1,10 @@
-"""Client side of the collection service: JSON transport and load generation.
+"""Client side of the collection service: HTTP transport and load generation.
 
 :class:`CollectionClient` is the wire-level counterpart of
 :class:`~repro.service.server.CollectionService`: it registers attributes,
-ships report batches with idempotency keys and honours the server's
-backpressure contract — a 429 reply sleeps for the server-advertised
+ships report batches with idempotency keys as binary array bodies
+(:mod:`repro.service.wire`; control requests stay JSON) and honours the
+server's backpressure contract — a 429 reply sleeps for the server-advertised
 ``Retry-After`` (floored by the shared :class:`~repro.core.retry.RetryPolicy`
 backoff) and retries, up to the policy's bound.
 
@@ -30,6 +31,7 @@ from ..core.retry import RetryPolicy, retry_call
 from ..core.rng import RngLike, ensure_rng
 from ..exceptions import InvalidParameterError, ReproError
 from ..protocols.registry import make_protocol
+from .wire import REPORT_CONTENT_TYPE, encode_batch
 
 
 class ServiceUnavailableError(ReproError, RuntimeError):
@@ -45,7 +47,7 @@ class _Backpressure(Exception):
 
 
 class CollectionClient:
-    """Tiny JSON client for one collection service, with bounded retries.
+    """Tiny HTTP client for one collection service, with bounded retries.
 
     Network errors and 429 backpressure retry through the shared
     :mod:`repro.core.retry` policy; on a 429 the sleep is
@@ -81,12 +83,11 @@ class CollectionClient:
     # transport
     # ------------------------------------------------------------------ #
     def _request(
-        self, method: str, path: str, payload: "Mapping[str, Any] | None" = None
+        self, method: str, path: str, body: "bytes | None", content_type: str
     ) -> dict[str, Any]:
-        body = None if payload is None else json.dumps(payload).encode("utf-8")
         conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
         try:
-            headers = {"Content-Type": "application/json"} if body else {}
+            headers = {} if body is None else {"Content-Type": content_type}
             conn.request(method, path, body, headers)
             response = conn.getresponse()
             raw = response.read()
@@ -125,12 +126,18 @@ class CollectionClient:
     def call(
         self, method: str, path: str, payload: "Mapping[str, Any] | None" = None
     ) -> dict[str, Any]:
-        """One request with backpressure-aware bounded retries."""
+        """One JSON request with backpressure-aware bounded retries."""
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
+        return self._call(method, path, body, "application/json")
+
+    def _call(
+        self, method: str, path: str, body: "bytes | None", content_type: str
+    ) -> dict[str, Any]:
         pending_hint = [0.0]
 
         def attempt() -> dict[str, Any]:
             try:
-                return self._request(method, path, payload)
+                return self._request(method, path, body, content_type)
             except _Backpressure as exc:
                 self.backpressure_hits += 1
                 pending_hint[0] = exc.retry_after
@@ -179,16 +186,16 @@ class CollectionClient:
         reports: Any,
         t: "float | None" = None,
     ) -> dict[str, Any]:
-        """Ship one report batch under an idempotency key."""
-        reports = np.asarray(reports)
-        payload: dict[str, Any] = {
-            "attribute": attribute,
-            "batch_id": batch_id,
-            "reports": reports.tolist(),
-        }
-        if t is not None:
-            payload["t"] = float(t)
-        return self.call("POST", "/report", payload)
+        """Ship one report batch under an idempotency key.
+
+        ``reports`` (an integer array, nested lists or
+        :class:`~repro.protocols.streaming.PackedBits`) travels as one binary
+        body.  Negative or non-integer values, and a ``t`` that is not a
+        finite number, raise :class:`~repro.exceptions.InvalidParameterError`
+        before anything is sent.
+        """
+        body = encode_batch(attribute, batch_id, reports, t=t)
+        return self._call("POST", "/report", body, REPORT_CONTENT_TYPE)
 
     def estimate(self, attribute: str) -> dict[str, Any]:
         query = urllib.parse.urlencode({"attribute": attribute})

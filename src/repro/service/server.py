@@ -22,12 +22,20 @@ retries after a lost ACK, at-least-once pipes) are counted and dropped at
 apply time, so a cumulative-window estimate stays byte-identical to a
 one-shot ``aggregate`` over the de-duplicated stream.
 
-HTTP API (JSON bodies)
-----------------------
+HTTP API
+--------
+``/report`` takes one binary body (:mod:`repro.service.wire`); every other
+endpoint takes and returns JSON.  Every request body is read through
+:func:`repro.core.http.open_body`: a negative or non-integer
+``Content-Length`` is a 400, one above ``MAX_BODY_BYTES`` a 413.
+
 * ``POST /attributes`` ``{attribute, protocol, k, epsilon}`` — register an
   attribute (idempotent when the config matches; 409 on conflict).
-* ``POST /report`` ``{attribute, batch_id, reports, t?}`` — enqueue one
-  batch; 202 queued, 429 backpressure, 404 unknown attribute.
+* ``POST /report`` — enqueue one batch, sent as an
+  ``application/octet-stream`` body: u32 header length, JSON header
+  ``{attribute, batch_id, t?, dtype, shape, packed_k?}``, array bytes.
+  202 queued, 429 backpressure, 404 unknown attribute, 400 malformed body
+  or reports (including a non-finite ``t``), 415 any other content type.
 * ``POST /flush`` — barrier: block until every queued batch is applied.
 * ``GET /estimate?attribute=NAME[&t=T]`` — snapshot estimate for one
   attribute, at event time ``t`` (default: the attribute's watermark).
@@ -49,9 +57,11 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
+from ..core.http import BodyReader, RequestBodyError, open_body
 from ..exceptions import EstimationError, InvalidParameterError
 from ..protocols.registry import make_protocol
 from .windows import WindowSpec, WindowedAccumulator, parse_window
+from .wire import REPORT_CONTENT_TYPE, event_time, read_batch
 
 #: Default bound on the ingest queue (batches, not reports).
 DEFAULT_QUEUE_SIZE = 256
@@ -111,19 +121,24 @@ class AttributeCollector:
         self._lock = threading.Lock()
 
     def decode(self, reports: Any) -> Any:
-        """Decode and validate a JSON-shaped report batch.
+        """Decode and validate one report batch (an array or nested lists).
 
-        Coerces to the oracle's array form, then applies the oracle's wire
-        contract (``validate_reports``) so a malformed batch — wrong matrix
-        width, values outside the report alphabet — raises here (an HTTP
-        400 at the edge) instead of crashing the applier thread.
+        Coerces to an integer array, then applies the oracle's wire contract
+        (``validate_reports``) so a malformed batch — wrong matrix width,
+        values outside the report alphabet — raises here (an HTTP 400 at the
+        edge) instead of crashing the applier thread.  An integer array, such
+        as the unsigned array a ``/report`` body decodes to, keeps its dtype:
+        UE bit rows stay ``uint8``, as ``randomize_many`` emits them, instead
+        of growing eightfold to ``int64``.
         """
-        try:
-            chunk = np.asarray(reports, dtype=np.int64)
-        except (TypeError, ValueError) as exc:
-            raise InvalidParameterError(
-                f"reports for {self.attribute!r} are not an integer array: {exc}"
-            ) from exc
+        chunk = reports
+        if not (isinstance(chunk, np.ndarray) and chunk.dtype.kind in "iu"):
+            try:
+                chunk = np.asarray(reports, dtype=np.int64)
+            except (TypeError, ValueError) as exc:
+                raise InvalidParameterError(
+                    f"reports for {self.attribute!r} are not an integer array: {exc}"
+                ) from exc
         try:
             return self.oracle.validate_reports(chunk)
         except InvalidParameterError as exc:
@@ -250,7 +265,8 @@ class CollectorRegistry:
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
-    """JSON-over-HTTP face of the :class:`CollectionService`."""
+    """HTTP face of the :class:`CollectionService`: binary ``/report``, JSON
+    everywhere else."""
 
     server: "_ServiceHTTPServer"
     protocol_version = "HTTP/1.1"
@@ -274,9 +290,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b"{}"
+    def _read_json(self, body: BodyReader) -> dict[str, Any]:
+        raw = body.read_all()
         payload = json.loads(raw.decode("utf-8")) if raw else {}
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
@@ -309,8 +324,16 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802  (http.server API)
         service = self.server.service
         try:
-            request = self._read_json()
-        except (ValueError, UnicodeDecodeError) as exc:
+            body = open_body(self)
+        except RequestBodyError as exc:
+            self._reply({"error": str(exc)}, code=exc.status)
+            return
+        if self.path == "/report":
+            self._handle_report(body)
+            return
+        try:
+            request = self._read_json(body)
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
             self._reply({"error": f"bad request: {exc}"}, code=400)
             return
         if self.path == "/attributes":
@@ -335,8 +358,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 self._reply({"error": str(exc)}, code=code)
                 return
             self._reply({"status": "ok", "attribute": collector.attribute})
-        elif self.path == "/report":
-            self._handle_report(request)
         elif self.path == "/flush":
             service.flush()
             self._reply({"status": "ok"})
@@ -349,29 +370,33 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         else:
             self._reply({"error": f"unknown path {self.path}"}, code=404)
 
-    def _handle_report(self, request: dict[str, Any]) -> None:
+    def _handle_report(self, body: BodyReader) -> None:
         service = self.server.service
-        attribute = str(request.get("attribute") or "")
-        collector = service.registry.get(attribute)
-        if collector is None:
-            self._reply({"error": f"unknown attribute {attribute!r}"}, code=404)
-            return
-        batch_id = str(request.get("batch_id") or "")
-        if not batch_id:
-            self._reply({"error": "batch_id is required"}, code=400)
+        content_type = self.headers.get_content_type()
+        if content_type != REPORT_CONTENT_TYPE:
+            body.drain()
+            self._reply(
+                {"error": f"/report takes {REPORT_CONTENT_TYPE}, got {content_type}"},
+                code=415,
+            )
             return
         try:
-            chunk = collector.decode(request.get("reports"))
+            header, reports = read_batch(body.read, body.remaining)
+        except InvalidParameterError as exc:
+            body.drain()
+            self._reply({"error": f"bad report body: {exc}"}, code=400)
+            return
+        collector = service.registry.get(header.attribute)
+        if collector is None:
+            self._reply({"error": f"unknown attribute {header.attribute!r}"}, code=404)
+            return
+        try:
+            chunk = collector.decode(reports)
         except InvalidParameterError as exc:
             self._reply({"error": str(exc)}, code=400)
             return
-        t = request.get("t")
-        try:
-            now = service.clock() if t is None else float(t)
-        except (TypeError, ValueError):
-            self._reply({"error": f"t must be a float, got {t!r}"}, code=400)
-            return
-        if not service.enqueue(collector, batch_id, chunk, now):
+        now = service.clock() if header.t is None else header.t
+        if not service.enqueue(collector, header.batch_id, chunk, now):
             # RFC 9110 Retry-After is integral delta-seconds; the JSON body
             # carries the precise float, which the bundled client prefers
             self._reply(
@@ -380,7 +405,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 headers={"Retry-After": str(math.ceil(service.retry_after))},
             )
             return
-        self._reply({"status": "queued", "batch_id": batch_id}, code=202)
+        self._reply({"status": "queued", "batch_id": header.batch_id}, code=202)
 
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
@@ -538,12 +563,16 @@ class CollectionService:
     def ingest_local(
         self, attribute: str, batch_id: str, reports: Any, now: "float | None" = None
     ) -> str:
-        """In-process ingest (benchmarks): same dedup/window path, no HTTP."""
+        """In-process ingest (benchmarks): same dedup/window path, no HTTP.
+
+        Like ``/report``, refuses a NaN or infinite ``now``.
+        """
         collector = self.registry.get(attribute)
         if collector is None:
             raise InvalidParameterError(f"unknown attribute {attribute!r}")
+        now = self.clock() if now is None else event_time(now)
         chunk = collector.decode(reports)
-        return collector.apply(batch_id, chunk, self.clock() if now is None else now)
+        return collector.apply(batch_id, chunk, now)
 
     # ------------------------------------------------------------------ #
     # control / observability

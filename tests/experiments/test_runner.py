@@ -559,6 +559,23 @@ class TestCliService:
         assert _service_main(args, stop=lambda: None) == 2
         assert "NAME:PROTOCOL:K:EPSILON" in capsys.readouterr().err
 
+    def test_serve_on_a_taken_port_exits_2(self, capsys):
+        import socket
+
+        from repro.experiments.runner import _service_main, build_parser
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            args = build_parser().parse_args(
+                ["--serve", f"127.0.0.1:{port}", "--attribute", "a:GRR:4:1.0"]
+            )
+            assert _service_main(args, stop=lambda: None) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "in use" in err
+        assert len(err.splitlines()) == 1
+
     def test_snapshot_prints_estimates_as_json_lines(self, capsys):
         from repro.experiments.runner import _service_main, build_parser
         from repro.service.client import CollectionClient

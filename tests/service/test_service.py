@@ -12,6 +12,7 @@ from __future__ import annotations
 import http.client
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.service import (
     parse_attribute_spec,
 )
 from repro.service.server import CollectorRegistry
+from repro.service.wire import REPORT_CONTENT_TYPE, encode_batch
 
 FAST = RetryPolicy(max_retries=6, base_delay=0.005, max_delay=0.02, jitter=0.0)
 
@@ -40,6 +42,24 @@ def service():
 
 def client_for(service: CollectionService) -> CollectionClient:
     return CollectionClient(service.url, retry_policy=FAST)
+
+
+def post_report(service: CollectionService, body: bytes) -> tuple[int, dict]:
+    """POST one binary ``/report`` body; the reply's status and JSON."""
+    host, port = service.url.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=5)
+    try:
+        conn.request("POST", "/report", body, {"Content-Type": REPORT_CONTENT_TYPE})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def hand_built(header: dict, data: bytes) -> bytes:
+    """A ``/report`` body with a header the client would never write."""
+    head = json.dumps(header).encode("utf-8")
+    return struct.pack("<I", len(head)) + head + data
 
 
 class TestParseAttributeSpec:
@@ -80,15 +100,16 @@ class TestCollectorRegistry:
 
 
 class TestServiceEndToEnd:
-    def test_estimate_matches_one_shot_aggregate_byte_for_byte(self, service):
+    @pytest.mark.parametrize("protocol", ("GRR", "OLH", "SS", "SUE", "OUE"))
+    def test_estimate_matches_one_shot_aggregate_byte_for_byte(self, service, protocol):
         client = client_for(service)
-        client.register_attribute("age", "GRR", k=32, epsilon=1.0)
+        client.register_attribute("age", protocol, k=32, epsilon=1.0)
         load = LoadGenerator(
-            "GRR", k=32, epsilon=1.0, users=3000, batch_size=500,
+            protocol, k=32, epsilon=1.0, users=3000, batch_size=500,
             churn=0.3, drift=2, duplicate_every=2, rng=11,
         )
         reference = LoadGenerator(
-            "GRR", k=32, epsilon=1.0, users=3000, batch_size=500,
+            protocol, k=32, epsilon=1.0, users=3000, batch_size=500,
             churn=0.3, drift=2, duplicate_every=2, rng=11,
         )
         unique = [r for _, r, dup in reference.batches() if not dup]
@@ -128,8 +149,9 @@ class TestServiceEndToEnd:
     def test_missing_batch_id_is_400(self, service):
         client = client_for(service)
         client.register_attribute("age", "GRR", k=8, epsilon=1.0)
-        with pytest.raises(ServiceUnavailableError, match="400"):
-            client.call("POST", "/report", {"attribute": "age", "reports": [1]})
+        header = {"attribute": "age", "dtype": "u1", "shape": [1]}
+        status, reply = post_report(service, hand_built(header, b"\x01"))
+        assert status == 400 and "batch_id" in reply["error"]
 
     def test_conflicting_reregistration_is_409(self, service):
         client = client_for(service)
@@ -244,6 +266,35 @@ class TestInjectedClock:
             svc.ingest_local("ghost", "b0", [1])
 
 
+class TestNonFiniteEventTime:
+    """A NaN or infinite ``t`` is refused at the edge: it used to be queued,
+    then failed in the applier (paned windows) or folded (cumulative)."""
+
+    @pytest.mark.parametrize("t", (float("nan"), float("inf"), -float("inf")))
+    @pytest.mark.parametrize("window", ("cumulative", "tumbling:10", "sliding:8x4"))
+    def test_refused_over_http_and_in_process(self, window, t):
+        svc = CollectionService(window=window)
+        svc.start()
+        try:
+            client = client_for(svc)
+            client.register_attribute("age", "GRR", k=8, epsilon=1.0)
+            header = {"attribute": "age", "batch_id": "b0", "t": t,
+                      "dtype": "u1", "shape": [3]}
+            status, reply = post_report(svc, hand_built(header, b"\x01\x02\x03"))
+            assert status == 400 and "finite" in reply["error"]
+            with pytest.raises(InvalidParameterError, match="finite"):
+                client.send_batch("age", "b1", [1, 2, 3], t=t)
+            with pytest.raises(InvalidParameterError, match="finite"):
+                svc.ingest_local("age", "b2", [1, 2, 3], now=t)
+            client.flush()
+            stats = client.stats()
+            assert stats["failed_batches"] == 0
+            assert stats["attributes"]["age"]["batches"] == 0
+            assert client.estimate("age")["n"] == 0
+        finally:
+            svc.stop()
+
+
 class TestLoadGenerator:
     def test_deterministic_under_seed(self):
         a = LoadGenerator("GRR", k=8, epsilon=1.0, users=100, batch_size=30, rng=5)
@@ -305,7 +356,6 @@ class TestMalformedIngest:
         client.register_attribute("age", "GRR", k=8, epsilon=1.0)
         client.register_attribute("city", "OLH", k=8, epsilon=1.0)
         for attribute, bad in (
-            ("age", [-1]),            # negative GRR value
             ("age", [8]),             # GRR value >= k
             ("city", [[1, 2], [3, 4]]),  # wrong-width OLH matrix
         ):
@@ -314,13 +364,26 @@ class TestMalformedIngest:
         client.flush()
         assert client.stats()["failed_batches"] == 0  # rejected at the edge
 
-    def test_non_numeric_json_fields_are_400_not_connection_drop(self, service):
+    def test_negative_report_values_fail_at_the_client(self, service):
         client = client_for(service)
         client.register_attribute("age", "GRR", k=8, epsilon=1.0)
-        report = {"attribute": "age", "batch_id": "b0", "reports": [1]}
+        with pytest.raises(InvalidParameterError, match="integers in \\[0, "):
+            client.send_batch("age", "b0", [-1])
+        client.flush()
+        assert client.stats()["attributes"]["age"]["batches"] == 0
+
+    def test_non_numeric_t_is_400_not_connection_drop(self, service):
+        client = client_for(service)
+        client.register_attribute("age", "GRR", k=8, epsilon=1.0)
+        header = {"attribute": "age", "batch_id": "b0", "dtype": "u1", "shape": [1]}
         for bad_t in ("noon", [1.0]):
-            with pytest.raises(ServiceUnavailableError, match="400"):
-                client.call("POST", "/report", dict(report, t=bad_t))
+            status, reply = post_report(service, hand_built(dict(header, t=bad_t), b"\x01"))
+            assert status == 400 and "t must be" in reply["error"]
+            with pytest.raises(InvalidParameterError, match="t must be"):
+                client.send_batch("age", "b0", [1], t=bad_t)
+
+    def test_non_numeric_json_fields_are_400_not_connection_drop(self, service):
+        client = client_for(service)
         for bad_config in (
             {"attribute": "x", "protocol": "GRR", "k": "many", "epsilon": 1.0},
             {"attribute": "x", "protocol": "GRR", "k": 8, "epsilon": [1.0]},
@@ -336,8 +399,8 @@ class TestRetryAfterWireFormat:
         service.pause()
         conn = http.client.HTTPConnection(client.host, client.port, timeout=5)
         try:
-            body = json.dumps({"attribute": "age", "batch_id": "b0", "reports": [1]})
-            conn.request("POST", "/report", body, {"Content-Type": "application/json"})
+            body = encode_batch("age", "b0", [1])
+            conn.request("POST", "/report", body, {"Content-Type": REPORT_CONTENT_TYPE})
             response = conn.getresponse()
             raw = response.read()
         finally:
