@@ -55,11 +55,10 @@ import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from ..core.http import RequestBodyError, open_body
+from ..core.http import JSONHandler, JSONServer
 from ..core.retry import RetryPolicy, retry_call
 from ..exceptions import GridExecutionError, InvalidParameterError
 from .grid import Executor, GridCell, RecordFn, _execute_payload, canonical_json
@@ -598,31 +597,10 @@ class LeaseTable:
 # --------------------------------------------------------------------------- #
 # HTTP layer — coordinator side
 # --------------------------------------------------------------------------- #
-class _CoordinatorHandler(BaseHTTPRequestHandler):
+class _CoordinatorHandler(JSONHandler):
     """JSON-over-HTTP face of the :class:`LeaseTable`."""
 
     server: "CoordinatorServer"
-    protocol_version = "HTTP/1.1"
-
-    # silence the default per-request stderr logging — the lease table's
-    # event journal is the authoritative trace
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
-
-    def _reply(self, payload: "Mapping[str, Any]", code: int = 200) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> dict[str, Any]:
-        raw = open_body(self).read_all()
-        payload = json.loads(raw.decode("utf-8")) if raw else {}
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
 
     def do_GET(self) -> None:  # noqa: N802  (http.server API)
         table = self.server.table
@@ -637,13 +615,8 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802  (http.server API)
         table = self.server.table
         now = self.server.clock()
-        try:
-            request = self._read_json()
-        except RequestBodyError as exc:
-            self._reply({"error": str(exc)}, code=exc.status)
-            return
-        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
-            self._reply({"error": f"bad request: {exc}"}, code=400)
+        request = self._read_json()
+        if request is None:
             return
         if self.path == "/register":
             worker_id = table.register(request.get("worker_id"), now)
@@ -682,10 +655,8 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
             self._reply({"error": f"unknown path {self.path}"}, code=404)
 
 
-class CoordinatorServer(ThreadingHTTPServer):
+class CoordinatorServer(JSONServer):
     """Threading HTTP server bound to one :class:`LeaseTable`."""
-
-    daemon_threads = True
 
     def __init__(
         self,

@@ -741,17 +741,17 @@ def _service_main(
     from ..service.server import CollectionService, parse_attribute_spec
 
     if args.snapshot is not None:
-        client = CollectionClient(args.snapshot)
         wanted = None
         if args.attribute:
             # accept bare names or full NAME:PROTOCOL:K:EPSILON specs
             wanted = {spec.split(":", 1)[0] for spec in args.attribute}
         try:
-            names = sorted(client.stats()["attributes"])
-            for name in names:
-                if wanted is not None and name not in wanted:
-                    continue
-                print(json.dumps(client.estimate(name), sort_keys=True))
+            with CollectionClient(args.snapshot) as client:
+                names = sorted(client.stats()["attributes"])
+                for name in names:
+                    if wanted is not None and name not in wanted:
+                        continue
+                    print(json.dumps(client.estimate(name), sort_keys=True))
         except ServiceUnavailableError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -6,8 +6,9 @@ product of the GBDT grower, and the OLH support/attack kernels.  This package
 puts those kernels behind one stable array contract (:class:`KernelBackend`)
 with two interchangeable implementations:
 
-* ``numpy`` — the pure-NumPy kernels extracted verbatim from the hot-path
-  modules; byte-identical to the pre-registry code and always available.
+* ``numpy`` — the pure-NumPy reference kernels, always available; the OLH
+  kernels hash in uint32 without division and give the answers of the
+  int64 definition.
 * ``numba`` — ``@njit(nogil=True)`` loop kernels compiled at first call;
   only registered when :mod:`numba` is importable.
 

@@ -15,7 +15,6 @@ import math
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import binom
 
 from ..core.composition import validate_epsilon
 from ..exceptions import InvalidParameterError
@@ -58,7 +57,18 @@ def acc_ss(epsilon: float, k: int, omega: int | None = None) -> float:
 
 
 def _acc_unary(p: float, q: float, k: int) -> float:
-    """Generic UE attack accuracy with keep/flip probabilities ``(p, q)``."""
+    """Generic UE attack accuracy with keep/flip probabilities ``(p, q)``.
+
+    With the true bit kept with probability ``p`` and the ``k - 1`` other
+    bits turned on independently with probability ``q``:
+
+    * no bit set: ``(1-p) (1-q)^{k-1}`` and a uniform guess ``1/k``;
+    * true bit set and ``i-1`` extra bits set: ``p * Bin(i-1; k-1, q)``
+      with a uniform guess among the ``i`` set bits.
+    """
+    # scipy.stats takes about a second to import; only this formula needs it
+    from scipy.stats import binom
+
     accuracy = (1.0 - p) * (1.0 - q) ** (k - 1) / k
     i = np.arange(1, k + 1)
     accuracy += float(np.sum((p / i) * binom.pmf(i - 1, k - 1, q)))

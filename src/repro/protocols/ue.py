@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import binom
 
 from ..core.frequencies import validate_probability_vector
 from ..core.rng import RngLike
 from ..exceptions import InvalidParameterError
+from .analysis import _acc_unary
 from .base import FrequencyOracle
 from .streaming import PackedBits, resolve_chunk_size
 
@@ -263,20 +263,9 @@ class UnaryEncoding(FrequencyOracle):
         return guesses
 
     def expected_attack_accuracy(self) -> float:
-        """Closed-form expected attack accuracy for a generic UE protocol.
-
-        With true bit kept with probability ``p`` and the ``k - 1`` other bits
-        turned on independently with probability ``q``:
-
-        * no bit set: ``(1-p) (1-q)^{k-1}`` and a uniform guess ``1/k``;
-        * true bit set and ``i-1`` extra bits set: ``p * Bin(i-1; k-1, q)``
-          with a uniform guess among the ``i`` set bits.
-        """
-        k, p, q = self.k, self.p, self.q
-        accuracy = (1.0 - p) * (1.0 - q) ** (k - 1) / k
-        i = np.arange(1, k + 1)
-        accuracy += float(np.sum((p / i) * binom.pmf(i - 1, k - 1, q)))
-        return accuracy
+        """Closed-form expected attack accuracy for a generic UE protocol
+        (see :func:`repro.protocols.analysis._acc_unary`)."""
+        return _acc_unary(self.p, self.q, self.k)
 
 
 class SUE(UnaryEncoding):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 import urllib.parse
 from typing import Any, Callable, Iterator, Mapping
@@ -49,12 +50,26 @@ class _Backpressure(Exception):
 class CollectionClient:
     """Tiny HTTP client for one collection service, with bounded retries.
 
+    Each calling thread keeps one HTTP/1.1 connection open and reuses it: it
+    is opened on the thread's first request and dropped after a transport
+    error or a reply that announces the server will close it.  A request
+    that fails on a *reused* connection before any reply byte arrives (the
+    server closed it while idle, or restarted) is re-sent once, at once, on
+    a fresh connection; that re-send neither sleeps nor counts against the
+    retry policy.  Re-sending is safe because every endpoint is idempotent:
+    ``/report`` batches carry a batch id the server deduplicates,
+    re-registering an attribute with the same configuration is a no-op,
+    and the other requests only read state or set it to a fixed value.
+
     Network errors and 429 backpressure retry through the shared
     :mod:`repro.core.retry` policy; on a 429 the sleep is
     ``max(policy delay, server Retry-After)`` so a loaded server's explicit
     pacing hint is never undercut.  Other HTTP errors raise immediately —
     they are contract violations (unknown attribute, bad batch), not
     congestion.
+
+    :meth:`close` (or leaving a ``with`` block) closes every connection the
+    client opened; call it when no request is in flight.
     """
 
     def __init__(
@@ -78,29 +93,84 @@ class CollectionClient:
         self._sleep = sleep
         #: 429 replies absorbed by retries (observability for benchmarks).
         self.backpressure_hits = 0
+        self._local = threading.local()
+        self._connections: set[http.client.HTTPConnection] = set()
+        self._connections_lock = threading.Lock()
+
+    def __enter__(self) -> "CollectionClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every connection this client opened, in any thread."""
+        with self._connections_lock:
+            connections, self._connections = self._connections, set()
+            self._local = threading.local()
+        for conn in connections:
+            conn.close()
 
     # ------------------------------------------------------------------ #
     # transport
     # ------------------------------------------------------------------ #
+    def _connect(self) -> http.client.HTTPConnection:
+        """A new connection, now the calling thread's own."""
+        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+        with self._connections_lock:
+            self._connections.add(conn)
+            self._local.conn = conn
+        return conn
+
+    def _drop(self, conn: http.client.HTTPConnection) -> None:
+        with self._connections_lock:
+            self._connections.discard(conn)
+            if getattr(self._local, "conn", None) is conn:
+                del self._local.conn
+        conn.close()
+
+    def _exchange(
+        self, method: str, path: str, body: "bytes | None", content_type: str
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """One request on the calling thread's connection: the reply and its body."""
+        headers = {} if body is None else {"Content-Type": content_type}
+        conn = getattr(self._local, "conn", None)
+        reused = conn is not None
+        if conn is None:
+            conn = self._connect()
+        try:
+            try:
+                conn.request(method, path, body, headers)
+                response = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # RemoteDisconnected is a ConnectionResetError.  No reply byte
+                # arrived, and every endpoint is idempotent: send it again
+                if not reused:
+                    raise
+                self._drop(conn)
+                conn = self._connect()
+                conn.request(method, path, body, headers)
+                response = conn.getresponse()
+            raw = response.read()
+        except BaseException:
+            self._drop(conn)
+            raise
+        if response.will_close:
+            self._drop(conn)
+        return response, raw
+
     def _request(
         self, method: str, path: str, body: "bytes | None", content_type: str
     ) -> dict[str, Any]:
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            headers = {} if body is None else {"Content-Type": content_type}
-            conn.request(method, path, body, headers)
-            response = conn.getresponse()
-            raw = response.read()
-            if response.status == 429:
-                raise _Backpressure(self._retry_after_hint(response, raw))
-            if response.status >= 400:
-                raise ServiceUnavailableError(
-                    f"service rejected {method} {path}: HTTP {response.status} "
-                    f"{raw.decode('utf-8', 'replace')[:200]}"
-                )
-            reply = json.loads(raw.decode("utf-8"))
-        finally:
-            conn.close()
+        response, raw = self._exchange(method, path, body, content_type)
+        if response.status == 429:
+            raise _Backpressure(self._retry_after_hint(response, raw))
+        if response.status >= 400:
+            raise ServiceUnavailableError(
+                f"service rejected {method} {path}: HTTP {response.status} "
+                f"{raw.decode('utf-8', 'replace')[:200]}"
+            )
+        reply = json.loads(raw.decode("utf-8"))
         if not isinstance(reply, dict):
             raise ServiceUnavailableError(
                 f"service reply to {method} {path} is not a JSON object"

@@ -25,9 +25,11 @@ one-shot ``aggregate`` over the de-duplicated stream.
 HTTP API
 --------
 ``/report`` takes one binary body (:mod:`repro.service.wire`); every other
-endpoint takes and returns JSON.  Every request body is read through
-:func:`repro.core.http.open_body`: a negative or non-integer
-``Content-Length`` is a 400, one above ``MAX_BODY_BYTES`` a 413.
+endpoint takes and returns JSON.  The HTTP layer is
+:mod:`repro.core.http`: connections stay open between requests, a negative
+or non-integer ``Content-Length`` is a 400, one above ``MAX_BODY_BYTES`` a
+413, and a body stalled past ``CONNECTION_TIMEOUT_S`` a 408; each of these
+replies closes the connection and says so with ``Connection: close``.
 
 * ``POST /attributes`` ``{attribute, protocol, k, epsilon}`` — register an
   attribute (idempotent when the config matches; 409 on conflict).
@@ -46,18 +48,16 @@ endpoint takes and returns JSON.  Every request body is read through
 
 from __future__ import annotations
 
-import json
 import math
 import queue
 import threading
 import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 import numpy as np
 
-from ..core.http import BodyReader, RequestBodyError, open_body
+from ..core.http import BodyReader, JSONHandler, JSONServer
 from ..exceptions import EstimationError, InvalidParameterError
 from ..protocols.registry import make_protocol
 from .windows import WindowSpec, WindowedAccumulator, parse_window
@@ -264,38 +264,11 @@ class CollectorRegistry:
         return {c.attribute: c.stats() for c in collectors}
 
 
-class _ServiceHandler(BaseHTTPRequestHandler):
+class _ServiceHandler(JSONHandler):
     """HTTP face of the :class:`CollectionService`: binary ``/report``, JSON
     everywhere else."""
 
     server: "_ServiceHTTPServer"
-    protocol_version = "HTTP/1.1"
-
-    # silence per-request stderr logging — /stats is the authoritative trace
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
-
-    def _reply(
-        self,
-        payload: "Mapping[str, Any]",
-        code: int = 200,
-        headers: "Mapping[str, str] | None" = None,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self, body: BodyReader) -> dict[str, Any]:
-        raw = body.read_all()
-        payload = json.loads(raw.decode("utf-8")) if raw else {}
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
 
     def do_GET(self) -> None:  # noqa: N802  (http.server API)
         service = self.server.service
@@ -323,18 +296,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802  (http.server API)
         service = self.server.service
-        try:
-            body = open_body(self)
-        except RequestBodyError as exc:
-            self._reply({"error": str(exc)}, code=exc.status)
-            return
         if self.path == "/report":
-            self._handle_report(body)
+            self._handle_report(self._open_body())
             return
-        try:
-            request = self._read_json(body)
-        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
-            self._reply({"error": f"bad request: {exc}"}, code=400)
+        request = self._read_json()
+        if request is None:
             return
         if self.path == "/attributes":
             try:
@@ -408,9 +374,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self._reply({"status": "queued", "batch_id": header.batch_id}, code=202)
 
 
-class _ServiceHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-
+class _ServiceHTTPServer(JSONServer):
     def __init__(self, address: tuple[str, int], service: "CollectionService") -> None:
         super().__init__(address, _ServiceHandler)
         self.service = service

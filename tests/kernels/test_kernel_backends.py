@@ -225,19 +225,9 @@ def test_histogram_product_matches_gemm(name, slots, n, n_features, seed) -> Non
     np.testing.assert_allclose(result, weights_t @ features, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", BACKENDS)
-@settings(max_examples=25, deadline=None)
-@given(
-    m=st.integers(min_value=0, max_value=8),
-    k=st.integers(min_value=1, max_value=12),
-    g=st.integers(min_value=2, max_value=6),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_olh_kernels_match_oracle(name, m, k, g, seed) -> None:
-    rng = np.random.default_rng(seed)
-    reports = random_reports(rng, m, k, g)
+def assert_olh_kernels_match_oracle(kernel, reports, k, g, rng) -> None:
+    """All three OLH kernels of ``kernel`` against :func:`oracle_olh_supports`."""
     supports = oracle_olh_supports(reports, k, g)
-    kernel = backend(name)
     np.testing.assert_array_equal(
         kernel.olh_support(reports, k, g, HASH_PRIME), supports.sum(axis=0).astype(float)
     )
@@ -250,6 +240,114 @@ def test_olh_kernels_match_oracle(name, m, k, g, seed) -> None:
         for row, rank, guess in zip(rows, ranks, guesses):
             assert supports[row, guess]
             assert int(supports[row, :guess].sum()) == rank
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(min_value=0, max_value=8),
+    k=st.integers(min_value=1, max_value=12),
+    g=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_olh_kernels_match_oracle(name, m, k, g, seed) -> None:
+    rng = np.random.default_rng(seed)
+    reports = random_reports(rng, m, k, g)
+    assert_olh_kernels_match_oracle(backend(name), reports, k, g, rng)
+
+
+#: Domain sizes around the powers of two at which the hash table doubles.
+DOUBLING_KS = (1, 2, 3, 63, 64, 65, 1000)
+
+
+@st.composite
+def edge_reports(draw, k: int, g: int) -> np.ndarray:
+    """Valid ``(a, b, y)`` rows with the extreme hash seeds over-represented.
+
+    ``a`` near ``P - 1`` makes every doubled step and every row sum wrap
+    past ``P``; half of the ``y`` are the hash of a drawn value, so large
+    ``g`` still gives supports.
+    """
+    m = draw(st.integers(min_value=1, max_value=6))
+    rows = []
+    for _ in range(m):
+        a = draw(st.sampled_from((1, HASH_PRIME - 1)) | st.integers(1, HASH_PRIME - 1))
+        b = draw(st.sampled_from((0, HASH_PRIME - 1)) | st.integers(0, HASH_PRIME - 1))
+        v = draw(st.integers(0, k - 1))
+        hashed = ((a * v + b) % HASH_PRIME) % g
+        y = draw(st.just(hashed) | st.integers(0, g - 1))
+        rows.append((a, b, y))
+    return np.asarray(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.sampled_from(DOUBLING_KS),
+    g=st.integers(min_value=2, max_value=2**20),
+    data=st.data(),
+)
+def test_olh_kernels_edge_seeds_and_domains(name, k, g, data) -> None:
+    reports = data.draw(edge_reports(k, g))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kernel = backend(name)
+    assert_olh_kernels_match_oracle(kernel, reports, k, g, rng)
+    # the unsigned array a /report body decodes to gives the same answers
+    assert_olh_kernels_match_oracle(kernel, reports.astype(np.uint32), k, g, rng)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.sampled_from(DOUBLING_KS),
+    g=st.integers(min_value=2, max_value=2**20),
+    data=st.data(),
+)
+def test_olh_perturbed_value_out_of_range_supports_nothing(name, k, g, data) -> None:
+    """``y < 0``, ``y >= g`` and ``y >= 2**32`` add no support and no candidate.
+
+    Most out-of-range ``y`` are a real hash of the row shifted by a multiple
+    of ``2**32``, which a plain uint32 cast would wrap back onto that hash.
+    """
+    valid = data.draw(edge_reports(k, g))
+    bad = []
+    for a, b, _ in valid:
+        v = data.draw(st.integers(0, k - 1))
+        hashed = ((int(a) * v + int(b)) % HASH_PRIME) % g
+        y = data.draw(
+            st.sampled_from((2**32, -(2**32), 2**33, 5 * 2**32)).map(hashed.__add__)
+            | st.integers(-(2**40), -1)
+            | st.integers(g, 2**40)
+        )
+        bad.append((a, b, y))
+    bad = np.asarray(bad, dtype=np.int64)
+    mixed = np.concatenate([valid, bad])
+    kernel = backend(name)
+    np.testing.assert_array_equal(
+        kernel.olh_support(mixed, k, g, HASH_PRIME),
+        kernel.olh_support(valid, k, g, HASH_PRIME),
+    )
+    counts = kernel.olh_attack_counts(mixed, k, g, HASH_PRIME)
+    np.testing.assert_array_equal(counts[len(valid) :], 0)
+    np.testing.assert_array_equal(
+        counts[: len(valid)], kernel.olh_attack_counts(valid, k, g, HASH_PRIME)
+    )
+
+
+def test_numpy_olh_kernels_refuse_a_prime_beyond_uint32_sums() -> None:
+    """Residue sums of a prime ``>= 2**31`` could pass ``2**32``; the NumPy
+    kernels raise instead of wrapping (the numba kernels use int64)."""
+    kernel = backend("numpy")
+    reports = np.asarray([[1, 0, 0]], dtype=np.int64)
+    for prime in (2**31, 2**31 + 11, 2**61 - 1):
+        with pytest.raises(InvalidParameterError, match="prime"):
+            kernel.olh_support(reports, 4, 2, prime)
+        with pytest.raises(InvalidParameterError, match="prime"):
+            kernel.olh_attack_counts(reports, 4, 2, prime)
+        with pytest.raises(InvalidParameterError, match="prime"):
+            kernel.olh_attack_select(
+                reports, 4, 2, prime, np.zeros(1, np.int64), np.zeros(1, np.int64)
+            )
 
 
 @pytest.mark.parametrize("name", BACKENDS)

@@ -1,6 +1,8 @@
 """Tests for the analytical protocol analysis (Sec. 3.2.1, Eqs. 4-5)."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,17 @@ from repro.protocols.analysis import (
     oracle_variance,
     profiling_accuracy_non_uniform,
     profiling_accuracy_uniform,
+)
+from repro.protocols.ue import OUE, SUE
+
+#: ``(epsilon, k, acc_sue, acc_oue)`` as computed when ``scipy.stats`` was
+#: still imported at module load; the formulas must reproduce them exactly.
+RECORDED_UE_ACCURACIES = (
+    (0.5, 2, 0.5621765008857981, 0.5612296656009274),
+    (1.0, 16, 0.10301199657133066, 0.11570739920569546),
+    (2.0, 100, 0.02718281828458987, 0.04194516903508381),
+    (4.0, 74, 0.09984394092942929, 0.2793974043122705),
+    (8.0, 3, 0.9702386525623813, 0.6663872457111812),
 )
 
 
@@ -84,6 +97,32 @@ class TestProfilingAccuracies:
     def test_empty_sizes_rejected(self):
         with pytest.raises(InvalidParameterError):
             profiling_accuracy_uniform("GRR", 1.0, [])
+
+
+class TestUnaryAccuracyValues:
+    @pytest.mark.parametrize("epsilon, k, sue, oue", RECORDED_UE_ACCURACIES)
+    def test_bit_identical_to_recorded_values(self, epsilon, k, sue, oue):
+        assert acc_sue(epsilon, k) == sue
+        assert acc_oue(epsilon, k) == oue
+        assert SUE(k, epsilon).expected_attack_accuracy() == sue
+        assert OUE(k, epsilon).expected_attack_accuracy() == oue
+
+
+def test_cold_imports_load_no_scipy():
+    """The CLI, the service and its client start without ``scipy``.
+
+    Importing ``scipy.stats`` takes about a second; only the UE accuracy
+    formula needs it, so it is imported there.
+    """
+    code = (
+        "import sys\n"
+        "import repro.experiments, repro.service.server, repro.service.client\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestVariance:
