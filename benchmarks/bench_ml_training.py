@@ -4,7 +4,7 @@ The attribute-inference figures (3, 6, 14, 15, 17) train the from-scratch
 gradient-boosted classifier once per grid cell, so GBDT training time is the
 wall-clock bottleneck of the attacker side of the paper.  This benchmark
 
-* times the level-wise lockstep implementation
+* times the level-wise stacked-forest implementation
   (:class:`repro.ml.tree.BinaryFeatureRegressionTree` via
   :func:`repro.ml.tree.grow_forest`) against the original recursive builder
   (:class:`repro.ml.tree_reference.RecursiveBinaryFeatureRegressionTree`)

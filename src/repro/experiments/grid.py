@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import abc
 import concurrent.futures
+import functools
 import hashlib
 import json
 import time
@@ -130,7 +131,9 @@ class GridCell:
     runner:
         Name of the registered cell runner executing the cell.
     params:
-        JSON-serializable parameter mapping handed to the runner.
+        JSON-serializable parameter mapping handed to the runner.  It must
+        not be mutated after construction: :attr:`key` and
+        :attr:`config_hash` are computed once, on first use, and kept.
     master_seed:
         Master seed of the grid; the cell's generator is derived from it and
         the cell key, independently of scheduling.
@@ -141,12 +144,12 @@ class GridCell:
     params: Mapping[str, Any] = field(default_factory=dict)
     master_seed: int = 42
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
         """Canonical cell key: runner plus canonical parameter JSON."""
         return f"{self.runner}:{canonical_json(self.params)}"
 
-    @property
+    @functools.cached_property
     def config_hash(self) -> str:
         """Content hash identifying the cell's work (cache key).
 

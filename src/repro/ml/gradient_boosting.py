@@ -8,12 +8,12 @@ gradients and shrinkage.  It is deliberately small but captures the signal
 the attack exploits (systematic differences between the LDP report and the
 fake data), which is what matters for reproducing the paper's orderings.
 
-Hot-path layout: every round's ``n_classes`` trees are grown in lockstep by
-:func:`repro.ml.tree.grow_forest` (one histogram pass over the feature
-matrix per tree level for the whole round), the feature matrix is converted
-to float64 exactly once per fit, and tree outputs are accumulated into a
-single reused score buffer via ``predict_into`` instead of allocating a
-fresh prediction array per tree.
+Hot-path layout: every round's ``n_classes`` trees are grown as one stacked
+forest by :func:`repro.ml.tree.grow_forest` (one histogram pass over the
+feature matrix per tree level for the whole round), the feature matrix is
+converted to float64 exactly once per fit, and prediction walks each
+round's trees together (:func:`repro.ml.tree.forest_values`), adding
+``learning_rate * value`` into one score buffer round by round.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.rng import RngLike, ensure_rng
 from ..exceptions import InvalidParameterError, NotFittedError
-from .tree import BinaryFeatureRegressionTree, grow_forest
+from .tree import BinaryFeatureRegressionTree, feature_bits, forest_values, grow_forest
 from .validation import validate_feature_matrix, validate_labels
 
 
@@ -53,11 +53,12 @@ class GradientBoostingClassifier:
     tree_class:
         Base-learner class; defaults to the level-wise
         :class:`~repro.ml.tree.BinaryFeatureRegressionTree` (trained via the
-        lockstep :func:`~repro.ml.tree.grow_forest` fast path).  Any class
-        with the same constructor and ``fit``/``predict_into`` interface —
-        e.g. the recursive reference tree in :mod:`repro.ml.tree_reference`
-        — can be substituted for parity testing and benchmarking; non-default
-        classes are fitted one tree at a time.
+        stacked :func:`~repro.ml.tree.grow_forest` fast path).  Any class
+        with the same constructor, ``fit`` and flat breadth-first
+        ``structure()`` — e.g. the recursive reference tree in
+        :mod:`repro.ml.tree_reference` — can be substituted for parity
+        testing and benchmarking; non-default classes are fitted one tree at
+        a time.
     """
 
     def __init__(
@@ -108,10 +109,10 @@ class GradientBoostingClassifier:
         self._base_scores = np.log(class_priors)
 
         scores = np.tile(self._base_scores, (n_samples, 1))
-        # contiguous transpose shared by every tree's batched prediction
-        # (only needed when trees must be re-applied to the full matrix)
-        features_t = (
-            np.ascontiguousarray(features.T)
+        # feature bits shared by every round's batched prediction (only
+        # needed when trees must be re-applied to the full matrix)
+        bits = (
+            feature_bits(features)
             if self.subsample < 1.0 or self.tree_class is not BinaryFeatureRegressionTree
             else None
         )
@@ -129,20 +130,18 @@ class GradientBoostingClassifier:
             else:
                 round_trees, leaf_ids = self._fit_round(features, gradients, hessians)
                 if leaf_ids is not None:
-                    # lockstep growth already routed every training row to
-                    # its leaf: the score update is a plain gather, no
-                    # re-application of the trees to the training matrix
+                    # growth already routed every training row to its leaf:
+                    # the score update is a plain gather, no re-application
+                    # of the trees to the training matrix
                     for class_index, (tree, leaves) in enumerate(
                         zip(round_trees, leaf_ids)
                     ):
                         scores[:, class_index] += self.learning_rate * tree._value[leaves]
                     self._trees.append(round_trees)
                     continue
-            for class_index, tree in enumerate(round_trees):
-                tree.predict_into(
-                    features, scores[:, class_index], self.learning_rate,
-                    features_t=features_t,
-                )
+            scores += (
+                self.learning_rate * forest_values(round_trees, bits, n_samples)
+            ).T
             self._trees.append(round_trees)
         return self
 
@@ -152,7 +151,7 @@ class GradientBoostingClassifier:
         """Train one boosting round: one tree per class.
 
         Returns ``(trees, leaf_ids)``; ``leaf_ids`` carries each training
-        row's leaf per tree on the lockstep fast path and is ``None`` for
+        row's leaf per tree on the stacked fast path and is ``None`` for
         substituted tree classes (which are fitted one tree at a time).
         """
         if self.tree_class is BinaryFeatureRegressionTree:
@@ -180,21 +179,19 @@ class GradientBoostingClassifier:
     def decision_function(self, features: np.ndarray) -> np.ndarray:
         """Raw (pre-softmax) scores for every class.
 
-        Accumulates every tree's contribution into one ``(n, n_classes)``
-        score buffer — no per-tree prediction arrays, no re-stacking.
+        Walks each round's trees together and adds ``learning_rate * value``
+        into one ``(n, n_classes)`` score buffer round by round — bit for
+        bit the same as adding each tree's scaled prediction in turn.
         """
         if self._base_scores is None or self.n_classes_ is None:
             raise NotFittedError("classifier is not fitted")
         features = validate_feature_matrix(features)
-        scores = np.empty((features.shape[0], self.n_classes_), dtype=np.float64)
+        n = features.shape[0]
+        scores = np.empty((n, self.n_classes_), dtype=np.float64)
         scores[:] = self._base_scores
-        features_t = np.ascontiguousarray(features.T)
+        bits = feature_bits(features)
         for round_trees in self._trees:
-            for class_index, tree in enumerate(round_trees):
-                tree.predict_into(
-                    features, scores[:, class_index], self.learning_rate,
-                    features_t=features_t,
-                )
+            scores += (self.learning_rate * forest_values(round_trees, bits, n)).T
         return scores
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:

@@ -14,24 +14,28 @@ node are ``X^T (g * 1[sample in node])``.
 Trees are grown **level-wise**: instead of recursing node by node (and
 fancy-indexing a fresh copy of the feature block at every node, as the
 reference implementation in :mod:`repro.ml.tree_reference` does), the
-builder keeps one per-sample node-slot array and computes the
+builder keeps one node-slot index per sample and computes the
 gradient/hessian/count histograms of *every* frontier node in a single
 ``X^T W`` product over the original feature matrix, where ``W`` scatters
-``(g, h, 1)`` into one column triple per frontier node.  Best splits for the
-whole frontier are chosen at once and samples are routed with boolean masks.
+``(g, h, 1)`` into one row triple per frontier node.
 
 Because that product is memory-bound on streaming ``X`` (its cost barely
-depends on the number of weight columns), :func:`grow_forest` grows many
-trees over the same feature matrix in lockstep — one shared histogram
-product per level for the whole group.  The boosting loop uses this to build
-all ``n_classes`` trees of a round with a single pass over ``X`` per level.
+depends on the number of weight rows), :func:`grow_forest` grows many trees
+over the same feature matrix as **one stacked forest**: each level is one
+pass over the flat per-(tree, sample) state of every tree, one shared
+histogram product, and one split search over the stacked frontier of all
+trees.  The boosting loop uses this to build all ``n_classes`` trees of a
+round with a single pass over ``X`` per level.
 
-Fitted trees are flat ``feature/left/right/value`` arrays in breadth-first
-order, so prediction is an iterative batched node-index propagation with no
-recursion and no per-sample dispatch.
+Fitted trees are flat breadth-first ``feature/left/right/value`` arrays, so
+prediction is iterative batched node-index propagation with no recursion
+and no per-sample dispatch; :func:`forest_values` propagates all trees of a
+round at once.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +53,20 @@ def _validate_hyperparameters(
         raise InvalidParameterError("min_samples_leaf must be >= 1")
     if reg_lambda < 0:
         raise InvalidParameterError("reg_lambda must be non-negative")
+
+
+def feature_bits(features: np.ndarray) -> np.ndarray:
+    """Flat ``(1 + F) * n`` boolean transpose of ``features > 0.5``.
+
+    Entry ``(f + 1) * n + i`` tells whether sample ``i`` has feature ``f``,
+    so the samples of one node read one contiguous row.  Row 0 is all
+    ``False``: a sample pointed there (a leaf's test, ``feature + 1 == 0``)
+    goes left.
+    """
+    n, n_features = features.shape
+    bits = np.zeros((1 + n_features, n), dtype=bool)
+    bits[1:] = (features > 0.5).T
+    return bits.reshape(-1)
 
 
 class BinaryFeatureRegressionTree:
@@ -90,10 +108,6 @@ class BinaryFeatureRegressionTree:
         self._left: np.ndarray | None = None
         self._right: np.ndarray | None = None
         self._value: np.ndarray | None = None
-        # navigation copies with self-looping leaves (see ``apply``)
-        self._nav_left: np.ndarray | None = None
-        self._nav_right: np.ndarray | None = None
-        self._levels = 0
 
     # ------------------------------------------------------------------ #
     def fit(
@@ -111,10 +125,7 @@ class BinaryFeatureRegressionTree:
             reg_lambda=self.reg_lambda,
             min_gain=self.min_gain,
         )[0]
-        self._adopt(
-            fitted._feature, fitted._left, fitted._right, fitted._value,
-            levels=fitted._levels,
-        )
+        self._adopt(fitted._feature, fitted._left, fitted._right, fitted._value)
         return self
 
     def _adopt(
@@ -123,83 +134,26 @@ class BinaryFeatureRegressionTree:
         left: np.ndarray,
         right: np.ndarray,
         value: np.ndarray,
-        levels: int,
     ) -> None:
-        """Install fitted flat node arrays and derive navigation helpers."""
+        """Install fitted flat node arrays."""
         self._feature = feature
         self._left = left
         self._right = right
         self._value = value
-        self._levels = levels
-        # leaves navigate to themselves, so batched propagation needs no
-        # per-row "is this row done" bookkeeping
-        node_ids = np.arange(feature.size, dtype=np.int32)
-        internal = feature >= 0
-        self._nav_left = np.where(internal, left, node_ids).astype(np.int32)
-        self._nav_right = np.where(internal, right, node_ids).astype(np.int32)
 
     # ------------------------------------------------------------------ #
-    def predict(
-        self, features: np.ndarray, features_t: np.ndarray | None = None
-    ) -> np.ndarray:
+    def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict the leaf value of every row of ``features``."""
-        return self._value[self.apply(features, features_t)]
+        return self._value[self.apply(features)]
 
-    def predict_into(
-        self,
-        features: np.ndarray,
-        out: np.ndarray,
-        scale: float = 1.0,
-        features_t: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Accumulate ``scale * predict(features)`` into ``out`` in place.
-
-        Lets the boosting loop reuse one score buffer across rounds and
-        classes instead of allocating a fresh prediction array per tree.
-        """
-        out += scale * self._value[self.apply(features, features_t)]
-        return out
-
-    def apply(
-        self, features: np.ndarray, features_t: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Leaf index reached by every row — iterative batched propagation.
-
-        No recursion and no per-sample dispatch: the bits of the (few)
-        features the tree actually tests are extracted into one small
-        cache-resident matrix, then every row's node index is advanced one
-        level at a time with gather/where operations.
-
-        ``features_t`` optionally supplies a C-contiguous ``features.T``;
-        callers applying many trees to the same matrix (the boosting loop)
-        pass it so each tree reads its test features from contiguous rows
-        instead of strided columns.
-        """
+    def apply(self, features: np.ndarray) -> np.ndarray:
+        """Leaf index reached by every row — iterative batched propagation."""
         if self._feature is None:
             raise NotFittedError("tree is not fitted")
         features = validate_feature_matrix(features)
-        n = features.shape[0]
-        internal = self._feature >= 0
-        if not internal.any():
-            return np.zeros(n, dtype=np.int32)
-        used, inverse = np.unique(self._feature[internal], return_inverse=True)
-        # bit matrix of the tested features only: (n_used, n) fits in cache
-        if features_t is not None:
-            bits = features_t[used] > 0.5
-        else:
-            bits = (features[:, used] > 0.5).T
-        # row into ``bits`` per node (leaves keep a harmless 0)
-        bit_row = np.zeros(self._feature.size, dtype=np.int32)
-        bit_row[internal] = inverse.astype(np.int32)
-
-        node = np.zeros(n, dtype=np.int32)
-        sample = np.arange(n, dtype=np.int64)
-        # leaves self-loop in the navigation arrays, so exactly levels - 1
-        # hops land every row at its leaf
-        for _ in range(self._levels - 1):
-            goes_right = bits[bit_row[node], sample]
-            node = np.where(goes_right, self._nav_right[node], self._nav_left[node])
-        return node
+        # one tree: flat node indices are the tree's own
+        leaves = _FlatForest([self]).leaves(feature_bits(features), features.shape[0])
+        return leaves.astype(np.int32)
 
     # ------------------------------------------------------------------ #
     @property
@@ -225,291 +179,80 @@ class BinaryFeatureRegressionTree:
 
 
 # --------------------------------------------------------------------------- #
-# lockstep level-wise growth
+# stacked prediction
 # --------------------------------------------------------------------------- #
-class _TreeGrower:
-    """Level-wise growth state of one tree inside a lockstep group.
+class _FlatForest:
+    """Several trees laid out in one flat node space.
 
-    The driver (:func:`grow_forest`) calls ``begin_level`` on every grower to
-    learn how many weight columns it needs, builds one shared weight matrix,
-    runs the single ``X^T W`` histogram product and hands each grower its
-    column block via ``finish_level``.
-
-    Two classic histogram tricks keep the per-level work small:
-
-    * **sibling subtraction** — when both children of a split need
-      histograms, only the smaller child's is computed; the sibling's is the
-      parent's histogram minus it, so levels past the root scatter/multiply
-      roughly half of the frontier's samples;
-    * **derived totals** — each child's gradient/hessian/count totals are
-      read off the parent's histogram at the chosen split feature (ones
-      branch) or derived by subtraction (zeros branch), so no per-level
-      ``bincount`` passes over the samples are needed.
-
-    Counts are integer-valued and below 2**53, so every subtraction above is
-    exact; gradient/hessian subtractions differ from direct summation only
-    in floating-point rounding order.
+    Tree ``t``'s node ``j`` sits at ``offset[t] + j``.  The layout is the
+    breadth-first one of :meth:`BinaryFeatureRegressionTree.structure`, in
+    which the right child of an internal node directly follows its left
+    child, so one step is ``node = next[node] + bit``.  A leaf steps to
+    itself and tests the all-``False`` row 0 of :func:`feature_bits`, so
+    every row rests at its leaf after ``hops`` steps, whatever the leaf's
+    depth.
     """
 
-    def __init__(
-        self,
-        gradients: np.ndarray,
-        hessians: np.ndarray,
-        max_depth: int,
-        min_samples_leaf: int,
-        reg_lambda: float,
-        min_gain: float,
-    ) -> None:
-        self.gradients = gradients
-        self.hessians = hessians
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.reg_lambda = reg_lambda
-        self.min_gain = min_gain
-        n = gradients.shape[0]
-        self.rows = np.arange(n)  # active samples (original row indices)
-        self.slot = np.zeros(n, dtype=np.int64)  # frontier slot per active sample
-        self.n_slots = 1
-        # root totals are the only ones computed by direct summation
-        self.grad_tot = np.asarray([gradients.sum()])
-        self.hess_tot = np.asarray([hessians.sum()])
-        self.count_tot = np.asarray([float(n)])
-        # histograms of the previous level's splitting slots, (n_split, F)
-        self.parent_hist: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self.next_node = 1  # node 0 is the root
-        self.frontier_first = 0  # node index of this level's first slot
-        self.done = False
-        # leaf node reached by every training sample, filled as samples are
-        # retired; lets the boosting loop skip re-applying the tree to the
-        # training matrix entirely
-        self.leaf_of = np.empty(n, dtype=np.int32)
-        self.feature_parts: list[np.ndarray] = []
-        self.left_parts: list[np.ndarray] = []
-        self.right_parts: list[np.ndarray] = []
-        self.value_parts: list[np.ndarray] = []
+    def __init__(self, trees: Sequence) -> None:
+        structures = [tree.structure() for tree in trees]
+        sizes = np.asarray([s["feature"].size for s in structures], dtype=np.int64)
+        self.offset = np.cumsum(sizes) - sizes
+        feature = np.concatenate([s["feature"] for s in structures]).astype(np.int64)
+        left = np.concatenate(
+            [s["left"] + offset for s, offset in zip(structures, self.offset)]
+        ).astype(np.int64)
+        internal = feature >= 0
+        self.next = np.where(internal, left, np.arange(feature.size))
+        self.test_row = feature + 1
+        self.value = np.concatenate([s["value"] for s in structures])
+        # the depth of the deepest leaf, walked level by level; no tree is
+        # deeper than its node count, which also ends the walk on a layout
+        # whose children loop back
+        self.hops = 0
+        frontier = self.offset[internal[self.offset]]
+        while frontier.size and self.hops < feature.size:
+            self.hops += 1
+            children = np.concatenate((left[frontier], left[frontier] + 1))
+            frontier = children[internal[children]]
 
-    # -- per-level protocol --------------------------------------------------
-    def begin_level(self, depth: int) -> int:
-        """Leaf decisions + histogram planning; returns weight rows needed."""
-        if self.done:
-            return 0
-        self.frontier_first = self.next_node - self.n_slots
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.leaf_value = -self.grad_tot / (self.hess_tot + self.reg_lambda)
-        self.node_feature = np.full(self.n_slots, -1, dtype=np.int32)
-        self.node_left = np.full(self.n_slots, -1, dtype=np.int32)
-        self.node_right = np.full(self.n_slots, -1, dtype=np.int32)
+    def leaves(self, bits: np.ndarray, n: int) -> np.ndarray:
+        """Flat node index of the leaf each row reaches, tree by tree.
 
-        can_split = self.count_tot >= 2 * self.min_samples_leaf
-        if depth >= self.max_depth or not can_split.any():
-            self.leaf_of[self.rows] = self.frontier_first + self.slot
-            self._emit_level()
-            self.done = True
-            return 0
-
-        # drop samples sitting in slots that are already leaves (recording
-        # their leaf) and renumber the remaining splittable slots compactly
-        keep = can_split[self.slot]
-        if not keep.all():
-            dropped = self.rows[~keep]
-            self.leaf_of[dropped] = self.frontier_first + self.slot[~keep]
-        self.rows = self.rows[keep]
-        sub_of_slot = np.cumsum(can_split) - 1
-        self.sub = sub_of_slot[self.slot[keep]]
-        self.n_sub = int(can_split.sum())
-        self.can_split = can_split
-        self.sub_of_slot = sub_of_slot
-        self.grad_sub = self.grad_tot[can_split]
-        self.hess_sub = self.hess_tot[can_split]
-        self.count_sub = self.count_tot[can_split]
-
-        # choose which splittable slots get a computed histogram: the root
-        # always does; otherwise a slot computes unless its sibling is also
-        # splittable and strictly smaller (ties computed on the left child),
-        # in which case its histogram is derived as parent minus sibling
-        slots = np.flatnonzero(can_split)
-        if self.parent_hist is None:
-            computed = np.ones(slots.size, dtype=bool)
-        else:
-            siblings = slots ^ 1
-            sibling_splittable = can_split[siblings]
-            own_count = self.count_tot[slots]
-            sibling_count = self.count_tot[siblings]
-            computed = ~sibling_splittable | (
-                (own_count < sibling_count)
-                | ((own_count == sibling_count) & (slots % 2 == 0))
-            )
-        self.computed = computed
-        self.n_comp = int(computed.sum())
-        # compact column index among computed slots, indexed by sub
-        comp_of_sub = np.cumsum(computed) - 1
-        self.comp_of_sub = comp_of_sub
-        return 3 * self.n_comp
-
-    def scatter(self, weights_t: np.ndarray, offset: int) -> None:
-        """Write the ``(g, h, 1)`` row triples of computed slots.
-
-        ``weights_t`` is the transposed ``(rows, n)`` weight buffer — one row
-        per histogram column — so the per-sample writes land in a few
-        contiguous rows instead of striding across a wide matrix.
+        ``bits`` comes from :func:`feature_bits` over ``n`` rows; entry
+        ``t * n + i`` of the result is row ``i``'s leaf in tree ``t``.
         """
-        if self.n_comp == self.n_sub:
-            rows, comp = self.rows, self.sub
-        else:
-            mask = self.computed[self.sub]
-            rows = self.rows[mask]
-            comp = self.comp_of_sub[self.sub[mask]]
-        if self.n_comp == 1 and rows.size == self.gradients.shape[0]:
-            # root level: plain contiguous copies
-            weights_t[offset] = self.gradients
-            weights_t[offset + 1] = self.hessians
-            weights_t[offset + 2] = 1.0
-            return
-        weights_t[offset + comp, rows] = self.gradients[rows]
-        weights_t[offset + self.n_comp + comp, rows] = self.hessians[rows]
-        weights_t[offset + 2 * self.n_comp + comp, rows] = 1.0
+        n_trees = self.offset.size
+        test_at = self.test_row * n
+        sample = np.tile(np.arange(n, dtype=np.int64), n_trees)
+        node = np.repeat(self.offset, n)
+        for _ in range(self.hops):
+            index = np.take(test_at, node)
+            index += sample
+            node = np.take(self.next, node) + np.take(bits, index)
+        return node
 
-    def finish_level(self, hist: np.ndarray, features64: np.ndarray) -> None:
-        """Assemble full histograms, pick splits and route the samples.
 
-        ``hist`` is this tree's ``(3 * n_comp, F)`` block of the shared
-        histogram product, one row per computed slot triple.
-        """
-        n_sub, n_comp = self.n_sub, self.n_comp
-        feature_count = hist.shape[1]
-        grad_ones = np.empty((n_sub, feature_count))
-        hess_ones = np.empty((n_sub, feature_count))
-        count_ones = np.empty((n_sub, feature_count))
-        comp_sub = np.flatnonzero(self.computed)
-        grad_ones[comp_sub] = hist[:n_comp]
-        hess_ones[comp_sub] = hist[n_comp : 2 * n_comp]
-        count_ones[comp_sub] = hist[2 * n_comp :]
-        derived_sub = np.flatnonzero(~self.computed)
-        if derived_sub.size:
-            # parent minus (already-filled) computed sibling
-            slots = np.flatnonzero(self.can_split)
-            derived_slots = slots[derived_sub]
-            sibling_sub = self.sub_of_slot[derived_slots ^ 1]
-            pair = derived_slots // 2
-            parent_grad, parent_hess, parent_count = self.parent_hist
-            grad_ones[derived_sub] = parent_grad[pair] - grad_ones[sibling_sub]
-            hess_ones[derived_sub] = parent_hess[pair] - hess_ones[sibling_sub]
-            count_ones[derived_sub] = parent_count[pair] - count_ones[sibling_sub]
+def forest_values(trees: Sequence, bits: np.ndarray, n: int) -> np.ndarray:
+    """``(T, n)`` leaf value of ``n`` rows in each of ``trees``.
 
-        grad_zeros = self.grad_sub[:, None] - grad_ones
-        hess_zeros = self.hess_sub[:, None] - hess_ones
-        count_zeros = self.count_sub[:, None] - count_ones
+    ``bits`` is :func:`feature_bits` of the rows.  All trees advance
+    together, one gather per step for the whole group; any tree exposing
+    the flat :meth:`~BinaryFeatureRegressionTree.structure` layout works.
+    Row ``t`` equals ``trees[t].predict(features)`` bit for bit.
+    """
+    forest = _FlatForest(trees)
+    return np.take(forest.value, forest.leaves(bits, n)).reshape(len(trees), n)
 
-        # the parent score is constant per slot, so the argmax over features
-        # only needs the children's score sum; the parent term re-enters in
-        # the min_gain threshold below
-        score_sum = self._score(grad_ones, hess_ones) + self._score(
-            grad_zeros, hess_zeros
-        )
-        valid = (count_ones >= self.min_samples_leaf) & (
-            count_zeros >= self.min_samples_leaf
-        )
-        score_sum = np.where(valid, score_sum, -np.inf)
-        best_feature = np.argmax(score_sum, axis=1)  # first max wins, per slot
-        arange_sub = np.arange(n_sub)
-        best_gain = 0.5 * (
-            score_sum[arange_sub, best_feature]
-            - self._score(self.grad_sub, self.hess_sub)
-        )
-        split = np.isfinite(best_gain) & (best_gain >= self.min_gain)
 
-        n_split = int(split.sum())
-        if n_split:
-            # children of the j-th splitting slot (in slot order) get the
-            # next-frontier slots (2j, 2j+1) and consecutive node indices
-            split_rank = np.cumsum(split) - 1
-            split_slots = np.flatnonzero(self.can_split)[split]
-            self.node_feature[split_slots] = best_feature[split]
-            self.node_left[split_slots] = self.next_node + 2 * split_rank[split]
-            self.node_right[split_slots] = self.next_node + 2 * split_rank[split] + 1
-            self.next_node += 2 * n_split
-        self._emit_level()
-
-        # retire the samples of non-splitting slots at their (leaf) node
-        keep = split[self.sub]
-        if not keep.all():
-            slots = np.flatnonzero(self.can_split)
-            dropped = ~keep
-            self.leaf_of[self.rows[dropped]] = (
-                self.frontier_first + slots[self.sub[dropped]]
-            )
-        if not n_split:
-            self.done = True
-            return
-
-        # next level's totals come straight off the split histograms: the
-        # ones branch (right child) is the histogram at the split feature,
-        # the zeros branch (left child) follows by subtraction
-        split_sub = np.flatnonzero(split)
-        split_feature = best_feature[split]
-        arange_split = np.arange(n_split)
-        right_grad = grad_ones[split_sub, split_feature]
-        right_hess = hess_ones[split_sub, split_feature]
-        right_count = count_ones[split_sub, split_feature]
-        next_grad = np.empty(2 * n_split)
-        next_hess = np.empty(2 * n_split)
-        next_count = np.empty(2 * n_split)
-        next_grad[2 * arange_split] = self.grad_sub[split_sub] - right_grad
-        next_grad[2 * arange_split + 1] = right_grad
-        next_hess[2 * arange_split] = self.hess_sub[split_sub] - right_hess
-        next_hess[2 * arange_split + 1] = right_hess
-        next_count[2 * arange_split] = self.count_sub[split_sub] - right_count
-        next_count[2 * arange_split + 1] = right_count
-        self.grad_tot, self.hess_tot, self.count_tot = next_grad, next_hess, next_count
-        self.parent_hist = (
-            grad_ones[split_sub],
-            hess_ones[split_sub],
-            count_ones[split_sub],
-        )
-
-        # route the samples of splitting slots to their children; each child
-        # holds >= min_samples_leaf samples by the validity mask above
-        self.rows = self.rows[keep]
-        sub = self.sub[keep]
-        goes_right = features64[self.rows, best_feature[sub]] > 0.5
-        self.slot = 2 * split_rank[sub] + goes_right
-        self.n_slots = 2 * n_split
-
-    # -- helpers -------------------------------------------------------------
-    def _emit_level(self) -> None:
-        self.feature_parts.append(self.node_feature)
-        self.left_parts.append(self.node_left)
-        self.right_parts.append(self.node_right)
-        self.value_parts.append(self.leaf_value)
-
-    def _score(self, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-        """XGBoost-style structure score ``G^2 / (H + lambda)``."""
-        denominator = hess + self.reg_lambda
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value = grad * grad / denominator
-        return np.where(denominator > 0, value, 0.0)
-
-    def build_tree(
-        self,
-        max_depth: int,
-        min_samples_leaf: int,
-        reg_lambda: float,
-        min_gain: float,
-    ) -> BinaryFeatureRegressionTree:
-        tree = BinaryFeatureRegressionTree(
-            max_depth=max_depth,
-            min_samples_leaf=min_samples_leaf,
-            reg_lambda=reg_lambda,
-            min_gain=min_gain,
-        )
-        tree._adopt(
-            np.concatenate(self.feature_parts),
-            np.concatenate(self.left_parts),
-            np.concatenate(self.right_parts),
-            np.concatenate(self.value_parts),
-            levels=len(self.feature_parts),
-        )
-        return tree
+# --------------------------------------------------------------------------- #
+# stacked level-wise growth
+# --------------------------------------------------------------------------- #
+def _score(grad: np.ndarray, hess: np.ndarray, reg_lambda: float) -> np.ndarray:
+    """XGBoost-style structure score ``G^2 / (H + lambda)``."""
+    denominator = hess + reg_lambda
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = grad * grad / denominator
+    return np.where(denominator > 0, value, 0.0)
 
 
 def grow_forest(
@@ -522,16 +265,38 @@ def grow_forest(
     min_gain: float = 1e-6,
     return_leaf_ids: bool = False,
 ) -> "list[BinaryFeatureRegressionTree] | tuple[list[BinaryFeatureRegressionTree], list[np.ndarray]]":
-    """Grow one tree per column of ``gradients``/``hessians`` in lockstep.
+    """Grow one tree per column of ``gradients``/``hessians`` as one forest.
 
-    All trees share the same ``(n, F)`` feature matrix; their per-level
-    histograms are computed by a single ``X^T W`` product over the original
-    matrix (one streaming pass over ``X`` per level for the whole group, no
-    per-node row copies).  The boosting loop calls this with the ``(n,
-    n_classes)`` gradient/hessian matrices of one round.
+    All trees share the same ``(n, F)`` feature matrix.  Each level of the
+    whole group is one stacked pass:
 
-    Each returned tree is identical to fitting a
-    :class:`BinaryFeatureRegressionTree` on its column alone.
+    * one entry per (tree, sample) pair holds the *global node id* of the
+      node the sample sits in for that tree (nodes of every tree and level
+      numbered consecutively); an entry whose id lies below the current
+      level's first id has retired at a leaf;
+    * the ``(g, h, 1)`` rows of every tree's computed frontier nodes are
+      scattered into one weight matrix — tree by tree, each tree's block
+      ``[g rows | h rows | 1 rows]`` — and a single ``X^T W`` product gives
+      all their histograms.  Retired entries and entries of nodes whose
+      histogram is derived scatter into one junk row past the block, zeroed
+      with the block after the product;
+    * one split search runs over the stacked ``(nodes, F)`` histograms of
+      every splittable node of every tree;
+    * one gather into the transposed feature bits routes every entry.
+
+    Two classic histogram tricks keep the per-level work small:
+
+    * **sibling subtraction** — when both children of a split can split,
+      only the smaller child's histogram is computed (ties on the left
+      child); the sibling's is the parent's histogram minus it;
+    * **derived totals** — each child's gradient/hessian/count totals are
+      read off the parent's histogram at the chosen split feature (ones
+      branch) or derived by subtraction (zeros branch).
+
+    Each returned tree is identical, bit for bit, to fitting a
+    :class:`BinaryFeatureRegressionTree` on its column alone.  The boosting
+    loop calls this with the ``(n, n_classes)`` gradient/hessian matrices of
+    one round.
 
     With ``return_leaf_ids=True`` the result is ``(trees, leaf_ids)`` where
     ``leaf_ids[t]`` is the leaf node index each training row ends up in for
@@ -551,46 +316,217 @@ def grow_forest(
     # in float64, so this single conversion is the only copy of the feature
     # matrix made while growing the whole group
     features64 = np.asarray(features, dtype=np.float64)
-
     n = features64.shape[0]
-    # one contiguous gradient/hessian vector per tree
     gradients_t = np.ascontiguousarray(gradients.T)
     hessians_t = np.ascontiguousarray(hessians.T)
-    growers = [
-        _TreeGrower(
-            gradients_t[t],
-            hessians_t[t],
-            max_depth,
-            min_samples_leaf,
-            reg_lambda,
-            min_gain,
-        )
-        for t in range(gradients_t.shape[0])
-    ]
-    weights_t = np.empty((0, n))  # reused transposed weight buffer
+    n_trees = gradients_t.shape[0]
+    if n_trees == 0:
+        return ([], []) if return_leaf_ids else []
+
+    grad_flat = gradients_t.reshape(-1)
+    hess_flat = hessians_t.reshape(-1)
+    bits = feature_bits(features64)
+    sample = np.tile(np.arange(n, dtype=np.int64), n_trees)
+    # entry t * n + i: global node id of sample i in tree t; the roots are
+    # ids 0..T-1
+    entry = np.repeat(np.arange(n_trees, dtype=np.int64), n)
+
+    # the frontier: every tree's open nodes, tree by tree.  From depth 1 on
+    # each tree holds an even number of them (children come in pairs), so
+    # siblings are global slots s and s ^ 1 and the parent is split s // 2
+    slot_tree = np.arange(n_trees)
+    slot_node = np.zeros(n_trees, dtype=np.int64)
+    # root totals are the only ones computed by direct summation
+    grad_tot = np.asarray([row.sum() for row in gradients_t])
+    hess_tot = np.asarray([row.sum() for row in hessians_t])
+    count_tot = np.full(n_trees, float(n))
+    next_node = np.ones(n_trees, dtype=np.int64)  # node 0 is each root
+    level_base = 0  # global id of the frontier's first slot
+    parent_hist: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    levels: list[tuple[np.ndarray, ...]] = []  # per level: the frontier's slot arrays
+    weights_t = np.zeros((0, n))  # reused; all zero between levels
+
     for depth in range(max_depth + 1):
-        rows_needed = [grower.begin_level(depth) for grower in growers]
-        total = sum(rows_needed)
-        if total == 0:
+        n_slots = slot_tree.size
+        n_ids = level_base + n_slots  # global ids so far, this level's included
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = -grad_tot / (hess_tot + reg_lambda)
+        feature = np.full(n_slots, -1, dtype=np.int32)
+        left = np.full(n_slots, -1, dtype=np.int32)
+        right = np.full(n_slots, -1, dtype=np.int32)
+        levels.append((slot_tree, slot_node, feature, left, right, value))
+        if depth >= max_depth:
             break
-        if weights_t.shape[0] < total:
-            weights_t = np.empty((total, n))
-        weights_t[:total] = 0.0
-        offset = 0
-        for grower, rows in zip(growers, rows_needed):
-            if rows:
-                grower.scatter(weights_t, offset)
-            offset += rows
-        hist = get_backend().histogram_product(weights_t[:total], features64)  # (total, F)
-        offset = 0
-        for grower, rows in zip(growers, rows_needed):
-            if rows:
-                grower.finish_level(hist[offset : offset + rows], features64)
-            offset += rows
-    trees = [
-        grower.build_tree(max_depth, min_samples_leaf, reg_lambda, min_gain)
-        for grower in growers
-    ]
+        can_split = count_tot >= 2 * min_samples_leaf
+        splittable = np.flatnonzero(can_split)
+        if not splittable.size:
+            break
+
+        # which splittable slots get a computed histogram: every root does;
+        # otherwise a slot computes unless its sibling is also splittable and
+        # strictly smaller (ties computed on the left child)
+        if parent_hist is None:
+            computed = np.ones(splittable.size, dtype=bool)
+        else:
+            siblings = splittable ^ 1
+            own_count = count_tot[splittable]
+            sibling_count = count_tot[siblings]
+            computed = ~can_split[siblings] | (
+                (own_count < sibling_count)
+                | ((own_count == sibling_count) & (splittable % 2 == 0))
+            )
+        comp_slots = splittable[computed]
+        comp_tree = slot_tree[comp_slots]
+        n_comp = np.bincount(comp_tree, minlength=n_trees)
+        comp_first = np.cumsum(n_comp) - n_comp
+        # tree t's block starts at row 3 * comp_first[t]; its c-th computed
+        # slot owns rows (g, h, 1) = block + (c, n_comp + c, 2 n_comp + c)
+        grad_row = 2 * comp_first[comp_tree] + np.arange(comp_slots.size)
+        row_step = n_comp[comp_tree]
+        total = 3 * comp_slots.size
+        if weights_t.shape[0] <= total:
+            weights_t = np.zeros((total + 1, n))
+        if parent_hist is None:
+            # roots: every sample of every tree, plain row copies
+            weights_t[0:total:3] = gradients_t
+            weights_t[1:total:3] = hessians_t
+            weights_t[2:total:3] = 1.0
+        else:
+            flat = weights_t.reshape(-1)
+            row_of = np.full(n_ids, total * n, dtype=np.int64)  # junk row
+            row_of[level_base + comp_slots] = grad_row * n
+            step_of = np.zeros(n_ids, dtype=np.int64)
+            step_of[level_base + comp_slots] = row_step * n
+            index = np.take(row_of, entry)
+            index += sample
+            flat[index] = grad_flat
+            step = np.take(step_of, entry)
+            index += step
+            flat[index] = hess_flat
+            index += step
+            flat[index] = 1.0
+        # resolved per call: the active backend may be swapped at run time
+        hist = get_backend().histogram_product(weights_t[:total], features64)
+        weights_t[: total + 1] = 0.0
+
+        # stacked (splittable slots, F) histograms, in slot order
+        hist_row = np.zeros(splittable.size, dtype=np.int64)
+        hist_row[computed] = grad_row
+        hist_step = np.zeros(splittable.size, dtype=np.int64)
+        hist_step[computed] = row_step
+        grad_ones = hist[hist_row]
+        hist_row += hist_step
+        hess_ones = hist[hist_row]
+        hist_row += hist_step
+        count_ones = hist[hist_row]
+        derived = np.flatnonzero(~computed)
+        if derived.size:
+            # parent minus (already-filled) computed sibling
+            derived_slots = splittable[derived]
+            sibling = np.searchsorted(splittable, derived_slots ^ 1)
+            pair = derived_slots // 2
+            parent_grad, parent_hess, parent_count = parent_hist
+            grad_ones[derived] = parent_grad[pair] - grad_ones[sibling]
+            hess_ones[derived] = parent_hess[pair] - hess_ones[sibling]
+            count_ones[derived] = parent_count[pair] - count_ones[sibling]
+
+        grad_sub = grad_tot[splittable]
+        hess_sub = hess_tot[splittable]
+        count_sub = count_tot[splittable]
+        grad_zeros = grad_sub[:, None] - grad_ones
+        hess_zeros = hess_sub[:, None] - hess_ones
+        count_zeros = count_sub[:, None] - count_ones
+        # the parent score is constant per slot, so the argmax over features
+        # only needs the children's score sum; the parent term re-enters in
+        # the min_gain threshold below
+        score_sum = _score(grad_ones, hess_ones, reg_lambda) + _score(
+            grad_zeros, hess_zeros, reg_lambda
+        )
+        valid = (count_ones >= min_samples_leaf) & (count_zeros >= min_samples_leaf)
+        score_sum = np.where(valid, score_sum, -np.inf)
+        best_feature = np.argmax(score_sum, axis=1)  # first max wins, per slot
+        best_gain = 0.5 * (
+            score_sum[np.arange(splittable.size), best_feature]
+            - _score(grad_sub, hess_sub, reg_lambda)
+        )
+        split = np.flatnonzero(np.isfinite(best_gain) & (best_gain >= min_gain))
+        if not split.size:
+            break
+
+        # children of a tree's j-th splitting slot (in slot order) get that
+        # tree's next two node indices; globally they become the next
+        # frontier's slots 2k and 2k + 1 for the k-th split overall
+        split_slots = splittable[split]
+        split_tree = slot_tree[split_slots]
+        split_feature = best_feature[split]
+        n_split = np.bincount(split_tree, minlength=n_trees)
+        rank = np.arange(split.size) - (np.cumsum(n_split) - n_split)[split_tree]
+        child_left = next_node[split_tree] + 2 * rank
+        next_node += 2 * n_split
+        feature[split_slots] = split_feature
+        left[split_slots] = child_left
+        right[split_slots] = child_left + 1
+
+        # next level's totals come straight off the split histograms: the
+        # ones branch (right child) is the histogram at the split feature,
+        # the zeros branch (left child) follows by subtraction
+        right_grad = grad_ones[split, split_feature]
+        right_hess = hess_ones[split, split_feature]
+        right_count = count_ones[split, split_feature]
+        grad_tot = np.empty(2 * split.size)
+        hess_tot = np.empty(2 * split.size)
+        count_tot = np.empty(2 * split.size)
+        grad_tot[0::2] = grad_sub[split] - right_grad
+        grad_tot[1::2] = right_grad
+        hess_tot[0::2] = hess_sub[split] - right_hess
+        hess_tot[1::2] = right_hess
+        count_tot[0::2] = count_sub[split] - right_count
+        count_tot[1::2] = right_count
+        parent_hist = (grad_ones[split], hess_ones[split], count_ones[split])
+        slot_tree = np.repeat(split_tree, 2)
+        slot_node = np.empty(2 * split.size, dtype=np.int64)
+        slot_node[0::2] = child_left
+        slot_node[1::2] = child_left + 1
+
+        # route the entries of splitting slots to their children; every
+        # other entry stays where it is (it tests the all-False row 0 and
+        # its target is its own id).  Each child holds >= min_samples_leaf
+        # samples by the validity mask above
+        target = np.arange(n_ids)
+        target[level_base + split_slots] = n_ids + 2 * np.arange(split.size)
+        test_at = np.zeros(n_ids, dtype=np.int64)
+        test_at[level_base + split_slots] = (split_feature + 1) * n
+        index = np.take(test_at, entry)
+        index += sample
+        goes_right = np.take(bits, index)
+        entry = np.take(target, entry)
+        entry += goes_right
+        level_base = n_ids
+
+    # every level lists its slots tree by tree, so a stable sort by tree
+    # gathers each tree's nodes in breadth-first order; global node ids
+    # index the unsorted concatenation
+    tree_of, node_of, *arrays = (np.concatenate(part) for part in zip(*levels))
+    order = np.argsort(tree_of, kind="stable")
+    node_feature, node_left, node_right, node_value = (array[order] for array in arrays)
+    bounds = np.cumsum(np.bincount(tree_of, minlength=n_trees))
+    trees = []
+    for t in range(n_trees):
+        begin, end = (bounds[t - 1] if t else 0), bounds[t]
+        tree = BinaryFeatureRegressionTree(
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+            reg_lambda=reg_lambda,
+            min_gain=min_gain,
+        )
+        tree._adopt(
+            node_feature[begin:end],
+            node_left[begin:end],
+            node_right[begin:end],
+            node_value[begin:end],
+        )
+        trees.append(tree)
     if return_leaf_ids:
-        return trees, [grower.leaf_of for grower in growers]
+        leaves = np.take(node_of.astype(np.int32), entry).reshape(n_trees, n)
+        return trees, list(leaves)
     return trees

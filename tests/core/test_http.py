@@ -292,3 +292,32 @@ class TestBodyReader:
         reader.read(10)
         reader.drain()
         assert reader.remaining == 0 and rfile.read() == b"NEXT"
+
+
+class TestPromptShutdown:
+    """Stopping a server waits one short poll, not the stdlib's 0.5 s."""
+
+    #: well above SERVE_POLL_INTERVAL_S, well below the stdlib's 0.5 s poll
+    LIMIT_S = 0.25
+
+    def test_poll_interval_is_short(self):
+        assert core_http.SERVE_POLL_INTERVAL_S < self.LIMIT_S
+
+    def test_service_stop_returns_promptly(self):
+        service = CollectionService().start()
+        time.sleep(0.1)  # serve_forever is inside its poll now
+        start = time.monotonic()
+        service.stop()
+        assert time.monotonic() - start < self.LIMIT_S
+
+    def test_coordinator_shutdown_returns_promptly(self):
+        server = CoordinatorServer(("127.0.0.1", 0), LeaseTable([], lease_timeout=10.0))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        time.sleep(0.1)
+        start = time.monotonic()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert time.monotonic() - start < self.LIMIT_S
+        assert not thread.is_alive()

@@ -1,14 +1,18 @@
 """Unit tests for the experiment-grid engine."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
+from repro.experiments import grid
 from repro.experiments.grid import (
     CellStore,
     GridCell,
     canonical_json,
     cell_runner,
+    execute_plan,
     get_cell_runner,
     registered_cell_runners,
     run_grid,
@@ -74,6 +78,48 @@ class TestGridCell:
         a = cell.make_rng().integers(0, 10**9, size=4)
         b = cell.make_rng().integers(0, 10**9, size=4)
         np.testing.assert_array_equal(a, b)
+
+
+class TestCellHashesAreComputedOnce:
+    N_CELLS = 6
+
+    def cells(self):
+        return [
+            GridCell(figure="f", runner="_test_echo", params={"value": v, "tag": [v, "x"]})
+            for v in range(self.N_CELLS)
+        ]
+
+    @pytest.mark.parametrize("with_grid_info", [False, True])
+    def test_warm_execute_plan_encodes_no_params(self, tmp_path, monkeypatch, with_grid_info):
+        cells = self.cells()
+        cold = execute_plan(cells, cache=tmp_path)  # fills the store, hashes every cell
+        encoded = []
+        real = grid.canonical_json
+        monkeypatch.setattr(
+            grid, "canonical_json", lambda value: encoded.append(value) or real(value)
+        )
+        info = {} if with_grid_info else None
+        warm = execute_plan(cells, cache=tmp_path, grid_info=info)
+        assert warm == cold
+        if info is not None:
+            assert info["from_cache"] == self.N_CELLS
+            assert [t["config_hash"] for t in info["cell_timings"]] == [
+                c.config_hash for c in cells
+            ]
+        assert encoded == []  # without the cache: 2 per cell, 3 with grid_info
+
+    def test_key_and_hash_are_those_of_a_fresh_cell(self):
+        cell = self.cells()[2]
+        fresh = GridCell(**{name: getattr(cell, name) for name in ("figure", "runner", "params", "master_seed")})
+        assert (cell.key, cell.config_hash) == (fresh.key, fresh.config_hash)
+        assert cell.config_hash is cell.config_hash and cell.key is cell.key
+
+    def test_hashed_cell_pickles_and_round_trips_through_payload(self):
+        cell = self.cells()[3]
+        key, config_hash = cell.key, cell.config_hash
+        for copy in (pickle.loads(pickle.dumps(cell)), GridCell.from_payload(cell.payload())):
+            assert copy == cell
+            assert (copy.key, copy.config_hash) == (key, config_hash)
 
 
 class TestRegistry:

@@ -134,14 +134,6 @@ class TestGrowForest:
         )
         np.testing.assert_array_equal(trees[0].apply(features), leaf_ids[0])
 
-    def test_transposed_features_apply_path(self):
-        features, gradients, hessians = untied_problem(7)
-        tree = BinaryFeatureRegressionTree(4, 5).fit(features, gradients, hessians)
-        features_t = np.ascontiguousarray(features.T)
-        np.testing.assert_array_equal(
-            tree.apply(features), tree.apply(features, features_t)
-        )
-
 
 class TestBoostingGoldenParity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -9,7 +9,7 @@ consistent.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.attacks.profile import UNKNOWN, Survey, build_profiles_smp
@@ -19,11 +19,22 @@ from repro.core.domain import Domain
 from repro.multidim.rsfd import RSFD
 from repro.multidim.rsrfd import RSRFD
 from repro.multidim.smp import SMP
+from repro.multidim.variance import rsfd_variance
 from repro.privacy.priors import make_priors
 
 sizes_strategy = st.lists(st.integers(min_value=2, max_value=9), min_size=2, max_size=5)
 epsilon_strategy = st.floats(min_value=0.5, max_value=8.0)
 seed_strategy = st.integers(min_value=0, max_value=2**31 - 1)
+
+#: With GRR, one attribute's estimates sum to exactly 1 but for float
+#: rounding (every report supports exactly one value).  Over 60 random
+#: configurations of each unit-mass test below the largest deviation was
+#: 2e-15.
+GRR_MASS_TOLERANCE = 1e-9
+
+#: With UE the unit-mass sum is itself a noisy estimate; it is bounded by
+#: this many analytical standard deviations (see ``ue_mass_sigma``).
+UE_MASS_SIGMAS = 5
 
 
 def build_dataset(sizes: list[int], n: int, seed: int) -> TabularDataset:
@@ -36,6 +47,29 @@ def build_dataset(sizes: list[int], n: int, seed: int) -> TabularDataset:
     return TabularDataset.from_columns(columns, domain)
 
 
+def ue_mass_sigma(
+    variant: str, epsilon: float, frequencies: np.ndarray, d: int, n: int
+) -> float:
+    """Standard deviation bound of the sum of one attribute's RS+FD UE estimates.
+
+    The sum of the analytical per-value variances at the true frequencies.
+    The per-value estimates are negatively correlated, so this bounds the
+    variance of their sum from above, and it matches the spread measured
+    over 150 seeds: 0.320 against 0.287-0.312 at k=9, d=5, epsilon=0.5
+    ("ue-r"); 0.030 against 0.026 at k=3/7, d=2, epsilon=8 ("ue-z").  The
+    f=0 approximation ``k * var(f=0)`` gives 0.317 and 0.197 at k=9,
+    epsilon=0.5 and 1.0, but only 0.0014 in the epsilon=8 "ue-z" case: it
+    leaves out the true report's own variance, which dominates once q is
+    small.
+    """
+    k = len(frequencies)
+    variance = sum(
+        rsfd_variance(variant, epsilon, k, d, n, f=float(f), ue_kind="OUE")
+        for f in frequencies
+    )
+    return float(np.sqrt(variance))
+
+
 @settings(max_examples=15, deadline=None)
 @given(sizes=sizes_strategy, epsilon=epsilon_strategy, seed=seed_strategy)
 def test_smp_estimates_have_unit_mass(sizes, epsilon, seed):
@@ -45,7 +79,7 @@ def test_smp_estimates_have_unit_mass(sizes, epsilon, seed):
     assert len(estimates) == dataset.d
     for estimate in estimates:
         assert np.isfinite(estimate.estimates).all()
-        assert estimate.estimates.sum() == pytest.approx(1.0, abs=0.35)
+        assert estimate.estimates.sum() == pytest.approx(1.0, abs=GRR_MASS_TOLERANCE)
 
 
 @settings(max_examples=12, deadline=None)
@@ -55,16 +89,21 @@ def test_smp_estimates_have_unit_mass(sizes, epsilon, seed):
     seed=seed_strategy,
     variant=st.sampled_from(["grr", "ue-z", "ue-r"]),
 )
+# one attribute's mass was 0.425 here, 3.05 sigma out: the estimator is
+# unbiased, the old fixed bound of 0.5 was only ~2.5 sigma at epsilon=1
+@example(sizes=[2, 2, 2, 8, 8], epsilon=1.0, seed=6012, variant="ue-r")
 def test_rsfd_estimates_have_unit_mass(sizes, epsilon, seed, variant):
-    dataset = build_dataset(sizes, n=4000, seed=seed)
+    n = 4000
+    dataset = build_dataset(sizes, n=n, seed=seed)
     solution = RSFD(dataset.domain, epsilon, variant=variant, ue_kind="OUE", rng=seed)
     _, estimates = solution.collect_and_estimate(dataset)
-    # estimator noise grows sharply as the per-attribute budget shrinks: the
-    # unit-mass sum has std ~0.16 at epsilon=0.5 with d=5, so the fixed 0.5
-    # bound sat at ~3 sigma and flaked; widen to ~6 sigma at the low end
-    tolerance = 1.0 if epsilon < 1.0 else 0.5
-    for estimate in estimates:
+    for j, estimate in enumerate(estimates):
         assert np.isfinite(estimate.estimates).all()
+        if variant == "grr":
+            tolerance = GRR_MASS_TOLERANCE
+        else:
+            sigma = ue_mass_sigma(variant, epsilon, dataset.frequencies(j), dataset.d, n)
+            tolerance = UE_MASS_SIGMAS * sigma
         assert estimate.estimates.sum() == pytest.approx(1.0, abs=tolerance)
 
 
@@ -85,7 +124,7 @@ def test_rsrfd_estimates_have_unit_mass_for_any_prior(sizes, epsilon, seed, prio
     _, estimates = solution.collect_and_estimate(dataset)
     for estimate in estimates:
         assert np.isfinite(estimate.estimates).all()
-        assert estimate.estimates.sum() == pytest.approx(1.0, abs=0.5)
+        assert estimate.estimates.sum() == pytest.approx(1.0, abs=GRR_MASS_TOLERANCE)
 
 
 @settings(max_examples=10, deadline=None)
